@@ -1,19 +1,16 @@
-"""E22 — ladder sharding: executor backends, substrates, rung-skip filtering.
+"""E22 — ladder sharding: executor backends and rung-skip filtering.
 
 The ladder's rungs are independent (that independence *is* Theorems
 1.1/1.2's parallelism), so rung sweeps route through a pluggable executor
 (docs/PERFORMANCE.md).  This experiment drives a skewed stream — a planted
 dense block that saturates the low rungs plus a sparse periphery that
-leaves the tall rungs untouched — through six configurations:
+leaves the tall rungs untouched — through five configurations:
 
-* **serial** — the default backend on the treap substrate; the baseline.
+* **serial** — the default backend; the baseline.
 * **process x2** — real process parallelism with merged worker deltas;
   the delta-merge contract makes its work/depth/counters *bit-identical*
   to serial (asserted below), so the win is wall-clock + the Brent bound.
-* **flat** — the contiguous-slab substrate; a pure wall-clock knob whose
-  accounting and answers are asserted bit-identical to serial.
-* **flat + shm x2** — the flat substrate under the resident-state
-  executor: rung state is seeded into persistent workers once over
+* **shm x2** — the resident-state executor: rung state is seeded into persistent workers once over
   shared memory and every later batch ships only ops + scalar deltas.
 * **skip** — rung-skip filtering; tall rungs whose hint sits above the
   degree bound defer updates, cutting *model work* without changing any
@@ -22,9 +19,7 @@ leaves the tall rungs untouched — through six configurations:
 
 Absolute wall-clock numbers are hardware-noisy; the reproduction targets
 are the invariants (bit-identity, answer-preservation) and the work/skip
-shapes — plus the flat-substrate wall-clock ratio that
-docs/PERFORMANCE.md quotes.  ``REPRO_E22_TINY=1`` shrinks the trace for
-CI smoke runs.
+shapes.  ``REPRO_E22_TINY=1`` shrinks the trace for CI smoke runs.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ def _trace():
 def measure(
     workers: int = 1,
     rung_skip: bool = False,
-    substrate: str = "treap",
     shared_state: bool = False,
     traced: bool = False,
 ):
@@ -75,16 +69,14 @@ def measure(
     """
     ops = _trace()
     cm = CostModel()
-    executor = ExecConfig(
-        workers=workers, substrate=substrate, shared_state=shared_state
-    ).make_executor()
+    executor = ExecConfig(workers=workers, shared_state=shared_state).make_executor()
     core = CorenessDecomposition(
         N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22,
-        executor=executor, rung_skip=rung_skip, substrate=substrate,
+        executor=executor, rung_skip=rung_skip,
     )
     dens = DensityEstimator(
         N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22,
-        executor=executor, rung_skip=rung_skip, substrate=substrate,
+        executor=executor, rung_skip=rung_skip,
     )
     timer = BatchTimer(cm)
     tracer = Tracer(cm) if traced else None
@@ -125,8 +117,7 @@ def _null():
 CONFIGS = [
     ("serial", dict(workers=1, rung_skip=False, traced=True)),
     ("process x2", dict(workers=2, rung_skip=False)),
-    ("flat", dict(workers=1, substrate="flat")),
-    ("flat + shm x2", dict(workers=2, substrate="flat", shared_state=True)),
+    ("shm x2", dict(workers=2, shared_state=True)),
     ("skip", dict(workers=1, rung_skip=True)),
     ("process x2 + skip", dict(workers=2, rung_skip=True)),
 ]
@@ -157,7 +148,7 @@ def run_experiment() -> Experiment:
         rows,
     )
     # the contracts this subsystem is built on
-    for other in ("process x2", "flat", "flat + shm x2"):
+    for other in ("process x2", "shm x2"):
         assert (base["work"], base["depth"], base["counters"]) == (
             runs[other]["work"],
             runs[other]["depth"],
@@ -183,37 +174,32 @@ def run_experiment() -> Experiment:
                 }
                 for name, _ in CONFIGS
             },
-            "flat_speedup": base["wall"] / max(runs["flat"]["wall"], 1e-9),
         },
     )
     saved = 1.0 - runs["skip"]["work"] / base["work"]
-    flat_x = base["wall"] / max(runs["flat"]["wall"], 1e-9)
     return Experiment(
         exp_id="E22",
-        title="ladder sharding — executor backends, substrates, rung-skip",
+        title="ladder sharding — executor backends, rung-skip",
         claim=(
             "the ladder's rungs are independent, so rung sweeps parallelise "
             "across processes with merged cost accounting (bit-identical "
-            "work/depth/counters to serial), the storage substrate is a "
-            "pure wall-clock knob, and provably-unaffected rungs can be "
-            "skipped without changing any answer"
+            "work/depth/counters to serial), and provably-unaffected rungs "
+            "can be skipped without changing any answer"
         ),
         table=table,
         conclusion=(
             f"the process backend reproduces serial accounting exactly "
             f"(asserted, bit-for-bit) while the Brent bound projects the "
-            f"sweep's W/D parallelism; the flat substrate keeps the same "
-            f"contract and runs {flat_x:.1f}x faster wall-clock on this "
-            f"trace, and the resident-state backend (flat + shm x2) keeps "
-            f"bit-identity while shipping only per-rung ops after the "
-            f"one-time shared-memory seed.  Rung-skip filtering removes "
+            f"sweep's W/D parallelism, and the resident-state backend "
+            f"(shm x2) keeps bit-identity while shipping only per-rung ops "
+            f"after the one-time shared-memory seed.  Rung-skip filtering removes "
             f"{100 * saved:.0f}% of the model work on this skewed trace "
             f"({runs['skip']['skipped']} rung-batches deferred) with "
             f"byte-identical query answers (asserted) — the filtering is "
             f"pure savings, not approximation.  The classic process pool "
             f"still loses wall-clock to whole-structure pickling (honest "
-            f"mismatch, quantified in E24); the flat and resident-state "
-            f"rows are the fix."
+            f"mismatch, quantified in E24); the resident-state row ships "
+            f"ops instead."
         ),
     )
 
@@ -229,20 +215,9 @@ def test_e22_backends_agree():
     assert serial["answers"] == proc["answers"]
 
 
-def test_e22_flat_substrate_bit_identical():
-    serial = measure(workers=1)
-    flat = measure(workers=1, substrate="flat")
-    assert (serial["work"], serial["depth"], serial["counters"]) == (
-        flat["work"],
-        flat["depth"],
-        flat["counters"],
-    )
-    assert serial["answers"] == flat["answers"]
-
-
 def test_e22_shared_state_bit_identical():
-    serial = measure(workers=1, substrate="flat")
-    shm = measure(workers=2, substrate="flat", shared_state=True)
+    serial = measure(workers=1)
+    shm = measure(workers=2, shared_state=True)
     assert (serial["work"], serial["depth"], serial["counters"]) == (
         shm["work"],
         shm["depth"],

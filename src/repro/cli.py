@@ -54,7 +54,7 @@ import threading
 from typing import Optional, Sequence
 
 from .baselines import core_numbers, exact_density, greedy_peeling_density
-from .config import SUBSTRATES, Constants, ExecConfig
+from .config import Constants, ExecConfig
 from .core import CorenessDecomposition, DensityEstimator
 from .graphs import DynamicGraph, generators, streams
 from .graphs.tracefile import (
@@ -121,7 +121,6 @@ def _exec_config(args) -> ExecConfig:
         rung_skip=bool(getattr(args, "rung_skip", False)),
         task_timeout=getattr(args, "task_timeout", None),
         task_retries=getattr(args, "task_retries", 2),
-        substrate=getattr(args, "substrate", "treap"),
         shared_state=bool(getattr(args, "shared_state", False)),
     )
 
@@ -130,7 +129,6 @@ def _build_structures(
     args, n: int, cm: CostModel, executor: object = None
 ) -> list[tuple[str, object]]:
     rung_skip = bool(getattr(args, "rung_skip", False))
-    substrate = getattr(args, "substrate", "treap")
     structures: list[tuple[str, object]] = []
     if args.mode in ("coreness", "both"):
         structures.append(
@@ -138,7 +136,7 @@ def _build_structures(
                 "coreness",
                 CorenessDecomposition(
                     n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    executor=executor, rung_skip=rung_skip, substrate=substrate,
+                    executor=executor, rung_skip=rung_skip,
                 ),
             )
         )
@@ -148,7 +146,7 @@ def _build_structures(
                 "density",
                 DensityEstimator(
                     n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    executor=executor, rung_skip=rung_skip, substrate=substrate,
+                    executor=executor, rung_skip=rung_skip,
                 ),
             )
         )
@@ -319,12 +317,14 @@ def cmd_run(args) -> int:
             rows.append(("orientation max d+", st.max_outdegree()))
     print(render_table(["metric", "value"], rows))
     if server is not None:
-        print(
-            f"metrics stay up on {server.url} for {linger:.0f}s more "
-            "(ctrl-C to release early)",
-            file=sys.stderr,
-        )
+        # announce inside the try: a ctrl-C sent as soon as the line is
+        # read must release the linger, not escape as a traceback
         try:
+            print(
+                f"metrics stay up on {server.url} for {linger:.0f}s more "
+                "(ctrl-C to release early)",
+                file=sys.stderr,
+            )
             threading.Event().wait(linger)
         except KeyboardInterrupt:
             pass
@@ -842,10 +842,6 @@ def _add_exec_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--task-retries", type=int, default=2, metavar="K",
                      help="pool-rebuild retry rounds before a failing rung "
                           "task degrades to in-process execution")
-    sub.add_argument("--substrate", choices=SUBSTRATES, default="treap",
-                     help="orientation-state storage layout (answers and "
-                          "cost accounting are bit-identical; 'flat' is the "
-                          "contiguous fast path, see docs/PERFORMANCE.md)")
     sub.add_argument("--shared-state", action="store_true",
                      help="with --workers > 1: keep rung state resident in "
                           "the workers and ship only per-rung deltas "

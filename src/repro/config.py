@@ -86,23 +86,6 @@ class Constants:
 
 DEFAULT_CONSTANTS = Constants()
 
-#: Storage substrates for the orientation state (docs/PERFORMANCE.md).
-#: ``treap`` is the historical per-object [PP01]-substitute; ``flat`` keeps
-#: the same ordered-set semantics on contiguous bisect-backed slabs
-#: (:mod:`repro.substrate`).  Answers, work, depth and counters are
-#: bit-identical across substrates — only wall-clock changes.
-SUBSTRATES = ("treap", "flat")
-
-
-def check_substrate(substrate: str) -> str:
-    """Validate a substrate name against :data:`SUBSTRATES`."""
-    if substrate not in SUBSTRATES:
-        raise ParameterError(
-            f"substrate must be one of {SUBSTRATES}, got {substrate!r}"
-        )
-    return substrate
-
-
 @dataclass(frozen=True)
 class ExecConfig:
     """Execution-backend configuration for the ladder sweeps.
@@ -131,11 +114,6 @@ class ExecConfig:
     task_retries:
         Pool-rebuild retry rounds before a failing task degrades to
         in-process execution.
-    substrate:
-        Storage substrate for the orientation state (:data:`SUBSTRATES`):
-        ``treap`` (historical per-object trees) or ``flat`` (contiguous
-        bisect-backed slabs).  Purely a wall-clock knob — all answers and
-        cost accounting are bit-identical across substrates.
     shared_state:
         With ``workers > 1``: use the resident-state backend
         (:class:`~repro.pram.shmexec.SharedStateExecutor`) — rung state
@@ -150,7 +128,6 @@ class ExecConfig:
     rung_skip: bool = False
     task_timeout: float | None = None
     task_retries: int = 2
-    substrate: str = "treap"
     shared_state: bool = False
 
     def make_executor(self):

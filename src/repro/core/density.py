@@ -40,7 +40,6 @@ class DensityEstimator(RungLadder, Transactional):
         h_max: Optional[int] = None,
         executor: Optional[Any] = None,
         rung_skip: bool = False,
-        substrate: str = "treap",
     ) -> None:
         self.n = n
         self.eps = check_eps(eps)
@@ -48,12 +47,10 @@ class DensityEstimator(RungLadder, Transactional):
         self.constants = constants
         self.seed = seed
         self.h_max = h_max
-        self.substrate = substrate
         self.heights: list[int] = ladder_heights(n, eps, h_max)
         self.rungs: list[FixedHDensityGuard] = [
             FixedHDensityGuard(
                 H, eps, n, cm=self.cm, constants=constants, seed=seed + 97 * i,
-                substrate=substrate,
             )
             for i, H in enumerate(self.heights)
         ]

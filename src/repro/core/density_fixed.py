@@ -52,7 +52,6 @@ class FixedHDensityGuard(RungOps):
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
         executor: Optional[object] = None,
-        substrate: str = "treap",
     ) -> None:
         self.H = check_height(H)
         self.eps = check_eps(eps)
@@ -62,7 +61,6 @@ class FixedHDensityGuard(RungOps):
         self.B = constants.B(n, eps)
         self.cm = cm if cm is not None else CostModel()
         self.executor = executor if executor is not None else SerialExecutor()
-        self.substrate = substrate
         self.changed_edges: set[tuple[int, int]] = set()
 
         if self.H >= self.B / eps:
@@ -82,7 +80,6 @@ class FixedHDensityGuard(RungOps):
             self.K = K
             self.dup = DuplicatedBalanced(
                 self.H * self.K, self.K, cm=self.cm, constants=constants, n_hint=n,
-                substrate=substrate,
             )
             self._buckets = {}
 
@@ -100,7 +97,6 @@ class FixedHDensityGuard(RungOps):
         if bucket is None:
             bucket = BalancedOrientation(
                 self.B, cm=self.cm, constants=self.constants, n_hint=self.n,
-                substrate=self.substrate,
             )
             self._buckets[i] = bucket
         return bucket

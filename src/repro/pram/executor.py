@@ -31,7 +31,7 @@ Structures cross the process boundary via pickle with the cost model
 persistent id at dump time and re-bound at load time (worker: a fresh
 model; coordinator, on the way back: the shared model).  No frame stacks
 or counters ever travel, and the round trip re-binds arbitrarily nested
-``cm`` references (treaps, buckets, duplicated inners) without any
+``cm`` references (rungs, buckets, duplicated inners) without any
 attribute walking.
 """
 
@@ -49,12 +49,14 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
+from ..errors import FaultInjected
 from ..instrument import telemetry as _telemetry
 from ..instrument import trace as _trace
 from ..instrument import wallclock as _wallclock
 from ..instrument.telemetry import SpanNode, Tracer, merge_span_children
 from ..instrument.wallclock import ExecutorStats, RoundWall, TaskWall
 from ..instrument.work_depth import CostModel
+from ..resilience import faults as _faults
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -308,6 +310,29 @@ class SerialExecutor:
         """No pooled resources to release (symmetry with ProcessExecutor)."""
 
 
+def _arm_worker_faults(injector: Optional[_faults.FaultInjector]) -> None:
+    """Pool initializer: arm the coordinator's fault plan in this worker."""
+    _faults.ACTIVE = injector
+
+
+def _pool_task_worker(
+    payload: tuple[bytes, str, tuple, bool, float]
+) -> tuple[bytes, WorkerDelta]:
+    """Pool-side entry point: the ``pram.worker`` fault site, then the task.
+
+    A fault injected here models a worker process dying as it picks up a
+    task: the worker exits, the pool breaks, and the coordinator's
+    retry/degrade path takes over.  The in-process degrade path calls
+    :func:`run_task_worker` directly, so the site never fires there.
+    """
+    if _faults.ACTIVE is not None:
+        try:
+            _faults.ACTIVE.fire("pram.worker")
+        except FaultInjected:
+            os._exit(70)
+    return run_task_worker(payload)
+
+
 class ProcessExecutor:
     """Run the sweep in a process pool (coarse-grained real parallelism).
 
@@ -370,7 +395,13 @@ class ProcessExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            # workers run under the coordinator's armed fault plan (if any),
+            # whatever the start method
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                initializer=_arm_worker_faults,
+                initargs=(_faults.ACTIVE,),
+            )
         return self._pool
 
     def close(self) -> None:
@@ -405,7 +436,7 @@ class ProcessExecutor:
             pool = self._ensure_pool()
             futures = {
                 i: pool.submit(
-                    run_task_worker, payloads[i] + (_wallclock.monotonic(),)
+                    _pool_task_worker, payloads[i] + (_wallclock.monotonic(),)
                 )
                 for i in pending
             }

@@ -1,45 +1,7 @@
-"""Storage substrates for the orientation hot paths.
+"""Process-boundary transport for the resident-state executor.
 
-The reproduction's per-vertex ordered sets historically live in
-per-object treaps (:mod:`repro.pbst.treap`) — one Python object per
-stored edge, pointer-chased on every rank/select.  This package provides
-the **flat** substrate: contiguous, binary-searched arrays with identical
-set semantics, selected per structure via the ``substrate`` knob
-(:func:`repro.config.check_substrate`).  The exemplar k-core engines in
-SNIPPETS.md get their speed from exactly this layout (flat slices indexed
-by vertex id); docs/PERFORMANCE.md quantifies the win at E21/E22 scale.
-
-Contract: both substrates expose the same interface and the same
-*canonical* behaviour — iteration in key order, ``any_at`` returning the
-minimum filed tail — so every query answer, every game trajectory, and
-(because all cost-model charges live in the callers) every work/depth/
-counter total is bit-identical between them.  The differential panel
-(``repro verify diff`` with the ``flat`` config) and the hypothesis
-property test in ``tests/substrate/test_flat_substrate.py`` enforce the
-equivalence end to end.
+:mod:`repro.substrate.shm` holds :class:`~repro.substrate.shm.ShmArena`,
+the shared-memory blob arena :mod:`repro.pram.shmexec` seeds its
+persistent workers through.  The orientation state itself lives in the
+sorted slabs of :mod:`repro.core.outset` and :mod:`repro.core.inindex`.
 """
-
-from __future__ import annotations
-
-from .flat import FlatInIndex, FlatOutSet
-
-
-def outset_cls(substrate: str):
-    """The per-vertex ranked out-set class of a substrate."""
-    if substrate == "flat":
-        return FlatOutSet
-    from ..core.outset import OutSet
-
-    return OutSet
-
-
-def inindex_cls(substrate: str):
-    """The per-vertex incoming-edge index class of a substrate."""
-    if substrate == "flat":
-        return FlatInIndex
-    from ..core.inindex import InIndex
-
-    return InIndex
-
-
-__all__ = ["FlatOutSet", "FlatInIndex", "outset_cls", "inindex_cls"]

@@ -17,9 +17,8 @@ Answers must match across **all** configurations: the executor contract,
 the rung-skip certificate, the telemetry never-perturbs guarantee and
 the tier-1/2 recovery determinism all promise bit-identical query
 results.  Cost totals are only contractual within a cost class
-(``cost_class="exact"`` for serial/process/telemetry/flat/shm-2 — the
-substrate and resident-state contracts promise bit-identical accounting
-too; rung-skip and chaos change cost *by design*, so they opt out with
+(``cost_class="exact"`` for serial/process/telemetry/shm-2 — the
+resident-state contract promises bit-identical accounting too; rung-skip and chaos change cost *by design*, so they opt out with
 ``cost_class=None``).
 
 On divergence, :func:`minimize_diff` shrinks the stream with the ddmin
@@ -66,7 +65,6 @@ class RunnerConfig:
     recovery: bool = False
     faults: tuple[tuple[str, int, str], ...] = ()
     cost_class: Optional[str] = "exact"
-    substrate: str = "treap"
     shared_state: bool = False
 
     def to_dict(self) -> dict:
@@ -78,7 +76,6 @@ class RunnerConfig:
             "recovery": self.recovery,
             "faults": [list(f) for f in self.faults],
             "cost_class": self.cost_class,
-            "substrate": self.substrate,
             "shared_state": self.shared_state,
         }
 
@@ -94,7 +91,6 @@ class RunnerConfig:
                 (str(s), int(h), str(a)) for s, h, a in d.get("faults", [])
             ),
             cost_class=d.get("cost_class"),
-            substrate=str(d.get("substrate", "treap")),
             shared_state=bool(d.get("shared_state", False)),
         )
 
@@ -110,7 +106,6 @@ def default_configs() -> list[RunnerConfig]:
         RunnerConfig("serial"),
         RunnerConfig("process-2", workers=2),
         RunnerConfig("telemetry", telemetry=True),
-        RunnerConfig("flat", substrate="flat"),
         RunnerConfig("shm-2", workers=2, shared_state=True),
         RunnerConfig("rung-skip", rung_skip=True, cost_class=None),
         RunnerConfig(
@@ -213,18 +208,15 @@ class _ConfigRun:
         self.executor = ExecConfig(
             cfg.workers,
             cfg.rung_skip,
-            substrate=cfg.substrate,
             shared_state=cfg.shared_state,
         ).make_executor()
         self.core = CorenessDecomposition(
             n, eps, cm=self.cm, constants=constants, seed=seed,
             executor=self.executor, rung_skip=cfg.rung_skip,
-            substrate=cfg.substrate,
         )
         self.dens = DensityEstimator(
             n, eps, cm=self.cm, constants=constants, seed=seed,
             executor=self.executor, rung_skip=cfg.rung_skip,
-            substrate=cfg.substrate,
         )
         self.injector = None
         if cfg.faults:

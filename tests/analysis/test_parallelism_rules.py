@@ -106,7 +106,7 @@ def test_p002_fires_on_class_construction_in_edge_loop():
             '''Insert.'''
             self.cm.charge(work=len(edges), depth=1)
             for u, v in edges:
-                self.nodes.append(TreapNode(u, v))
+                self.nodes.append(EdgeNode(u, v))
     """
     assert "REP-P002" in rules_of(violating)
 

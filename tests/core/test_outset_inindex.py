@@ -42,6 +42,21 @@ class TestOutSet:
         with pytest.raises(AssertionError):
             OutSet().rank((1, 0))
 
+    def test_select_out_of_range_raises(self):
+        s = OutSet()
+        s.add((1, 0))
+        for rank in (0, 2):
+            with pytest.raises(IndexError):
+                s.select(rank)
+
+    def test_window_is_one_indexed_and_clamped(self):
+        s = OutSet()
+        for h in (40, 10, 30, 20):
+            s.add((h, 0))
+        assert s.window(2, 3) == [(20, 0), (30, 0)]
+        assert s.window(0, 99) == [(10, 0), (20, 0), (30, 0), (40, 0)]
+        assert s.window(5, 9) == []
+
     def test_copies_are_distinct_keys(self):
         s = OutSet()
         s.add((7, 0))
@@ -85,6 +100,28 @@ class TestInIndex:
         ix.move((3, 0), (1, 0, 4), (2, 1, 5))
         assert ix.any_at(1, 0, 4) is None
         assert ix.any_at(2, 1, 5) == (3, 0)
+
+    def test_any_at_returns_minimum_tail(self):
+        ix = InIndex()
+        for tail in [(9, 0), (2, 1), (5, 0), (2, 0)]:
+            ix.add(tail, 1, 0, 4)
+        assert ix.any_at(1, 0, 4) == (2, 0)
+        ix.remove((2, 0), 1, 0, 4)
+        assert ix.any_at(1, 0, 4) == (2, 1)
+
+    def test_move_from_unfiled_slot_raises(self):
+        ix = InIndex()
+        ix.add((3, 0), 1, 0, 4)
+        with pytest.raises(AssertionError):
+            ix.move((3, 0), (2, 0, 4), (1, 1, 4))
+        assert ix.any_at(1, 0, 4) == (3, 0)
+
+    def test_move_onto_filed_tail_raises(self):
+        ix = InIndex()
+        ix.add((3, 0), 1, 0, 4)
+        ix.add((3, 0), 2, 0, 4)
+        with pytest.raises(AssertionError):
+            ix.move((3, 0), (1, 0, 4), (2, 0, 4))
 
     def test_move_identity_is_noop(self):
         ix = InIndex()

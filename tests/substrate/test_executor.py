@@ -89,7 +89,7 @@ class TestStructurePickle:
         """A round-tripped replica takes the same trajectory as the original.
 
         This is the determinism property the process backend rests on: all
-        internal choice points (treap shapes, in-index picks) are pure
+        internal choice points (out-set order, in-index picks) are pure
         functions of the logical state, never of container history.
         """
         def build():
@@ -314,16 +314,23 @@ class TestFaultTolerance:
 
     def test_retries_are_bounded(self):
         from repro.instrument.telemetry import REGISTRY
+        from repro.resilience.faults import FaultInjector, FaultSpec, injecting
 
         REGISTRY.clear()
         batches = _mixed_batches(12, 2, seed=1)
-        with ProcessExecutor(max_workers=2, task_timeout=1e-9, task_retries=3) as ex:
-            _drive(ex, batches)
+        # every fresh pool worker inherits the armed plan and dies on its
+        # first task, so no pooled attempt can succeed; the coordinator
+        # itself never traverses the site, so the inline degrade runs clean
+        crash = FaultInjector([FaultSpec("pram.worker", hit=1, action="raise")])
+        with injecting(crash):
+            with ProcessExecutor(max_workers=2, task_retries=3) as ex:
+                _drive(ex, batches)
+        assert crash.pending  # the coordinator's copy never fired
         retries = REGISTRY.counter("repro_executor_retries_total").value
         degraded = REGISTRY.counter("repro_executor_degraded_total").value
         assert degraded > 0
-        # with an unmeetable timeout every degraded task fails in exactly
-        # (task_retries + 1) pooled rounds before running inline
+        # every degraded task fails in exactly (task_retries + 1) pooled
+        # rounds before running inline
         assert retries == (3 + 1) * degraded
 
     def test_timeout_survives_pickle_roundtrip(self):

@@ -1,18 +1,24 @@
-"""Substrate equivalence: flat vs treap, property-tested end to end.
+"""The flat storage slabs, property-tested against a naive model.
 
-The flat substrate's contract (docs/PERFORMANCE.md) is that it is a pure
-wall-clock knob: for any batch stream, every query answer *and* every
-cost-model total (work, depth, counters) is bit-identical to the treap
-substrate — including through ``guarded()`` rollback and checkpoint
-round trips.  The hypothesis driver below generates arbitrary
-insert/delete streams (normalised so deletes only touch live edges, the
-structures' own precondition) and diffs full ladder state between the
-two substrates after every batch.
+The orientation state lives in sorted ``list`` slabs: each vertex's
+ranked out-set (:class:`~repro.core.outset.OutSet`) and its incoming-edge
+index (:class:`~repro.core.inindex.InIndex`).  The hypothesis drivers
+below run arbitrary operation sequences on both classes and on a naive
+``sorted(set)`` model side by side, and require identical answers:
+rank/select/first/window on the out-set; the minimum tail ``any_at``
+returns, ``any_truncated`` and ``move`` on the index; and the
+``AssertionError`` every duplicate add or absent remove must raise.
+``tests/core/test_golden_contract.py`` pins the end-to-end side: answers,
+work, depth and counters on recorded streams.
+
+The ladder-level tests check that ``guarded()`` rollback and checkpoint
+round trips leave a structure answering and charging exactly like one
+that never saw the aborted batch or the round trip.
 
 The resident-state executor (``SharedStateExecutor``) rides the same
 contract from the other side: rung state lives in persistent workers and
 only ops + scalar deltas cross the process boundary, yet answers and
-accounting must match the serial backend exactly, on either substrate.
+accounting must match the serial backend exactly.
 """
 
 import pytest
@@ -22,7 +28,9 @@ from hypothesis import strategies as st
 from repro.config import Constants, ExecConfig
 from repro.core.coreness import CorenessDecomposition
 from repro.core.density import DensityEstimator
+from repro.core.inindex import InIndex
 from repro.core.ladder import RungStore
+from repro.core.outset import OutSet
 from repro.graphs.graph import norm_edge
 from repro.resilience.checkpoint import checkpoint, restore_checkpoint
 from repro.resilience.guard import guarded
@@ -31,7 +39,136 @@ SMALL = Constants(sample_c=0.5, min_B=4, duplication_cap=8)
 N = 16
 
 
-# -- stream generation ---------------------------------------------------------
+# -- the slabs vs a sorted(set) model -----------------------------------------
+
+_keys = st.tuples(st.integers(0, 9), st.integers(0, 2))
+
+_outset_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _keys),
+        st.tuples(st.just("remove"), _keys),
+        st.tuples(st.just("rank"), _keys),
+        st.tuples(st.just("select"), st.integers(-1, 12)),
+        st.tuples(st.just("first"), st.integers(0, 12)),
+        st.tuples(st.just("window"), st.tuples(st.integers(0, 12), st.integers(0, 12))),
+    ),
+    max_size=60,
+)
+
+_filing = st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+
+_inindex_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _keys, _filing),
+        st.tuples(st.just("remove"), _keys, _filing),
+        st.tuples(st.just("move"), _keys, st.tuples(_filing, _filing)),
+        st.tuples(st.just("any_at"), _keys, _filing),
+        st.tuples(st.just("any_truncated"), _keys, _filing),
+    ),
+    max_size=60,
+)
+
+
+class TestSlabsMatchSortedModel:
+    @given(ops=_outset_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_outset_matches_sorted_model(self, ops):
+        s, model = OutSet(), set()
+        for op, arg in ops:
+            ordered = sorted(model)
+            if op == "add":
+                if arg in model:
+                    with pytest.raises(AssertionError):
+                        s.add(arg)
+                else:
+                    s.add(arg)
+                    model.add(arg)
+            elif op == "remove":
+                if arg in model:
+                    s.remove(arg)
+                    model.remove(arg)
+                else:
+                    with pytest.raises(AssertionError):
+                        s.remove(arg)
+            elif op == "rank":
+                if arg in model:
+                    assert s.rank(arg) == ordered.index(arg) + 1
+                else:
+                    with pytest.raises(AssertionError):
+                        s.rank(arg)
+            elif op == "select":
+                if 1 <= arg <= len(ordered):
+                    assert s.select(arg) == ordered[arg - 1]
+                else:
+                    with pytest.raises(IndexError):
+                        s.select(arg)
+            elif op == "first":
+                assert s.first(arg) == ordered[:arg]
+            else:
+                lo, hi = arg
+                assert s.window(lo, hi) == ordered[max(0, lo - 1): hi]
+            assert list(s) == sorted(model)
+            assert len(s) == len(model)
+            assert all((k in s) == (k in model) for k in ordered)
+        s.check()
+
+    @given(ops=_inindex_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_inindex_matches_sorted_model(self, ops):
+        ix = InIndex()
+        model: dict[tuple, set] = {}  # (tr, label, lev) -> tails
+
+        def filed(tail, key):
+            return tail in model.get(key, ())
+
+        for op, tail, arg in ops:
+            if op == "add":
+                if filed(tail, arg):
+                    with pytest.raises(AssertionError):
+                        ix.add(tail, *arg)
+                else:
+                    ix.add(tail, *arg)
+                    model.setdefault(arg, set()).add(tail)
+            elif op == "remove":
+                if filed(tail, arg):
+                    ix.remove(tail, *arg)
+                    model[arg].discard(tail)
+                else:
+                    with pytest.raises(AssertionError):
+                        ix.remove(tail, *arg)
+            elif op == "move":
+                old, new = arg
+                if old == new:
+                    ix.move(tail, old, new)  # identity: a no-op, filed or not
+                elif not filed(tail, old) or filed(tail, new):
+                    with pytest.raises(AssertionError):
+                        ix.move(tail, old, new)
+                    if filed(tail, old):
+                        # the remove half landed before the add half raised
+                        model[old].discard(tail)
+                else:
+                    ix.move(tail, old, new)
+                    model[old].discard(tail)
+                    model.setdefault(new, set()).add(tail)
+            elif op == "any_at":
+                bucket = model.get(arg)
+                assert ix.any_at(*arg) == (min(bucket) if bucket else None)
+            else:
+                tr, _label, lev = arg
+                # the lowest label with a filed tail answers, with its minimum
+                want = min(
+                    ((k[1], min(model[k])) for k in model
+                     if k[0] == tr and k[2] == lev and model[k]),
+                    default=(None, None),
+                )[1]
+                assert ix.any_truncated(tr, lev) == want
+            assert sorted(ix.entries()) == sorted(
+                (t, *k) for k, tails in model.items() for t in tails
+            )
+            assert len(ix) == sum(len(tails) for tails in model.values())
+
+
+# -- ladder state through rollback and checkpoints -----------------------------
 
 _edges = st.lists(
     st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)),
@@ -44,25 +181,6 @@ _raw_stream = st.lists(
     min_size=1,
     max_size=6,
 )
-
-
-def _normalise(raw):
-    """Turn a raw op list into a stream the structures accept.
-
-    Inserts drop self-loops, duplicates within the batch, and edges
-    already live; deletes keep only currently-live edges.  The result is
-    deterministic in the raw stream, so both substrates replay the exact
-    same batches.
-    """
-    live: set[tuple[int, int]] = set()
-    ops = []
-    for kind, edges in raw:
-        batch = _valid_batch(kind, edges, live)
-        if not batch:
-            continue
-        live.update(batch) if kind == "insert" else live.difference_update(batch)
-        ops.append((kind, batch))
-    return ops
 
 
 def _valid_batch(kind, edges, live):
@@ -80,19 +198,17 @@ def _valid_batch(kind, edges, live):
 
 
 class _Pair:
-    """One (coreness, density) ladder pair on a given substrate."""
+    """One (coreness, density) ladder pair sharing a cost model."""
 
-    def __init__(self, substrate, seed=5):
+    def __init__(self, seed=5):
         from repro.instrument.work_depth import CostModel
 
         self.cm = CostModel()
         self.core = CorenessDecomposition(
             N, eps=0.3, cm=self.cm, constants=SMALL, seed=seed,
-            substrate=substrate,
         )
         self.dens = DensityEstimator(
             N, eps=0.3, cm=self.cm, constants=SMALL, seed=seed,
-            substrate=substrate,
         )
 
     def apply(self, kind, edges):
@@ -109,42 +225,23 @@ class _Pair:
             self.dens.density_estimate(),
             self.dens.arboricity_estimate(),
             self.dens.max_outdegree(),
+            tuple(tuple(self.dens.orientation_out(v)) for v in range(N)),
         )
 
-    def totals(self):
-        return (self.cm.work, self.cm.depth, dict(sorted(self.cm.counters.items())))
 
-
-# -- the equivalence property --------------------------------------------------
-
-
-class TestFlatTreapEquivalence:
-    @given(raw=_raw_stream)
-    @settings(max_examples=20, deadline=None)
-    def test_stream_bit_identical(self, raw):
-        ops = _normalise(raw)
-        treap, flat = _Pair("treap"), _Pair("flat")
-        for kind, edges in ops:
-            treap.apply(kind, edges)
-            flat.apply(kind, edges)
-            assert flat.observe() == treap.observe()
-            assert flat.totals() == treap.totals()
-        treap.core.check_invariants()
-        flat.core.check_invariants()
-
+class TestLadderState:
     @given(raw=_raw_stream, boom_at=st.integers(0, 5))
     @settings(max_examples=15, deadline=None)
-    def test_guarded_rollback_bit_identical(self, raw, boom_at):
-        """A rolled-back batch leaves both substrates in the same state.
+    def test_guarded_rollback_matches_skipped_batch(self, raw, boom_at):
+        """A rolled-back batch leaves the ladders as if it never ran.
 
         One batch (index ``boom_at``) is applied under ``guarded()`` and
-        aborted mid-transaction; the rollback must restore both ladders
-        to states that keep agreeing — answers and accounting — for the
-        rest of the stream.  Batches are validated against the *actual*
-        live edge set, which the rolled-back batch never joins — a later
-        op must not assume the aborted batch landed.
+        aborted mid-transaction; a reference pair simply skips it.  The
+        two must answer identically for the rest of the stream.  Batches
+        are validated against the *actual* live edge set, which the
+        rolled-back batch never joins.
         """
-        treap, flat = _Pair("treap"), _Pair("flat")
+        aborted, skipped = _Pair(), _Pair()
         live: set = set()
         index = 0
         for kind, edges in raw:
@@ -152,57 +249,52 @@ class TestFlatTreapEquivalence:
             if not batch:
                 continue
             if index == boom_at:
-                # aborted: the ladders — and therefore ``live`` — are
-                # rolled back to their pre-batch state.
-                for pair in (treap, flat):
-                    with pytest.raises(RuntimeError):
-                        with guarded(pair.core):
-                            with guarded(pair.dens):
-                                pair.apply(kind, batch)
-                                raise RuntimeError("forced abort")
+                with pytest.raises(RuntimeError):
+                    with guarded(aborted.core):
+                        with guarded(aborted.dens):
+                            aborted.apply(kind, batch)
+                            raise RuntimeError("forced abort")
             else:
-                treap.apply(kind, batch)
-                flat.apply(kind, batch)
+                aborted.apply(kind, batch)
+                skipped.apply(kind, batch)
                 if kind == "insert":
                     live.update(batch)
                 else:
                     live.difference_update(batch)
             index += 1
-            assert flat.observe() == treap.observe()
-            assert flat.totals() == treap.totals()
+            assert aborted.observe() == skipped.observe()
+        aborted.core.check_invariants()
+        aborted.dens.check_invariants()
 
     @given(raw=_raw_stream)
     @settings(max_examples=10, deadline=None)
-    def test_checkpoint_round_trip_bit_identical(self, raw):
-        """Checkpoints agree modulo the substrate tag and restore cleanly —
-        including *across* substrates (a treap checkpoint restored onto
-        flat answers identically)."""
-        ops = _normalise(raw)
-        treap, flat = _Pair("treap"), _Pair("flat")
-        for kind, edges in ops:
-            treap.apply(kind, edges)
-            flat.apply(kind, edges)
-        for st_t, st_f in ((treap.core, flat.core), (treap.dens, flat.dens)):
-            pay_t, pay_f = checkpoint(st_t), checkpoint(st_f)
-            assert pay_t["substrate"] == "treap"
-            assert pay_f["substrate"] == "flat"
-            pay_f_as_t = dict(pay_f, substrate="treap")
-            assert pay_t == pay_f_as_t  # logical state identical
-            back_f = restore_checkpoint(pay_f)
-            assert back_f.substrate == "flat"
-            # cross-substrate restore: treap payload onto flat layout
-            cross = restore_checkpoint(dict(pay_t, substrate="flat"))
-            assert cross.substrate == "flat"
-            for q in ("estimates",) if hasattr(st_t, "estimates") else ():
-                assert getattr(back_f, q)() == getattr(st_t, q)()
-                assert getattr(cross, q)() == getattr(st_t, q)()
-        assert flat.observe() == treap.observe()
+    def test_checkpoint_round_trip_is_exact(self, raw):
+        """A restored ladder has the same payload and answers, and a
+        payload's legacy ``substrate`` tag is ignored whatever its value."""
+        pair, live = _Pair(), set()
+        for kind, edges in raw:
+            batch = _valid_batch(kind, edges, live)
+            if not batch:
+                continue
+            pair.apply(kind, batch)
+            live.update(batch) if kind == "insert" else live.difference_update(batch)
+        for structure in (pair.core, pair.dens):
+            payload = checkpoint(structure)
+            assert "substrate" not in payload
+            for tagged in (payload, dict(payload, substrate="flat"),
+                           dict(payload, substrate="unknown")):
+                back = restore_checkpoint(tagged)
+                assert checkpoint(back) == payload
+                if hasattr(structure, "estimates"):
+                    assert back.estimates() == structure.estimates()
+                else:
+                    assert back.density_estimate() == structure.density_estimate()
 
 
 # -- the resident-state executor ----------------------------------------------
 
 
-def _drive(workers, shared_state, substrate, query_every=0):
+def _drive(workers, shared_state, query_every=0):
     from repro.graphs import generators, streams
 
     n, edges = generators.erdos_renyi(24, 70, seed=3)
@@ -213,11 +305,11 @@ def _drive(workers, shared_state, substrate, query_every=0):
         cm = CostModel()
         core = CorenessDecomposition(
             n, eps=0.3, cm=cm, constants=SMALL, seed=3,
-            executor=ex, substrate=substrate,
+            executor=ex,
         )
         dens = DensityEstimator(
             n, eps=0.3, cm=cm, constants=SMALL, seed=3,
-            executor=ex, substrate=substrate,
+            executor=ex,
         )
         for k, op in enumerate(streams.insert_then_delete(edges, 10, seed=3)):
             if op.kind == "insert":
@@ -242,17 +334,16 @@ def _drive(workers, shared_state, substrate, query_every=0):
 
 
 class TestSharedStateExecutor:
-    @pytest.mark.parametrize("substrate", ["treap", "flat"])
-    def test_bit_identical_to_serial(self, substrate):
-        base = _drive(1, False, substrate)
-        shm = _drive(2, True, substrate)
+    def test_bit_identical_to_serial(self):
+        base = _drive(1, False)
+        shm = _drive(2, True)
         assert shm == base
 
     def test_bit_identical_with_interleaved_queries(self):
         # queries every 2 batches: steady ops-only batches alternate with
-        # materialise + reseed cycles, all under the flat substrate
-        base = _drive(1, False, "flat", query_every=2)
-        shm = _drive(2, True, "flat", query_every=2)
+        # materialise + reseed cycles
+        base = _drive(1, False, query_every=2)
+        shm = _drive(2, True, query_every=2)
         assert shm == base
 
     def test_exec_config_selects_shared_state(self):
