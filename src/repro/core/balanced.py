@@ -2,8 +2,13 @@
 
 The data structure of Section 4: every vertex keeps a ranked out-edge set
 (:class:`~repro.core.outset.OutSet`) and an incoming-edge index
-(:class:`~repro.core.inindex.InIndex`) keyed by (truncated rank, label) and
-bucketed by the tail's truncated level.  Batch insertions run the
+(:class:`~repro.core.inindex.InIndex`) keyed by truncated rank and
+bucketed by the tail's truncated level.  The paper also keys the in-index
+by the deletion-game label (§4.1); here an arc's label is a function of
+its tail (``vertex_label[tail]`` at rank ``<= H``, 0 beyond), so lookups
+read it from ``vertex_label`` and a label change re-files nothing.  Its
+charges are unchanged: ``_apply_vertex_label`` still pays for the
+re-filing the paper does.  Batch insertions run the
 token-dropping game on token bundles (Section 4.2); batch deletions run the
 token-pushing game (Section 4.3).  Between batches the structure satisfies
 the H-balancedness invariant of Definition 3.1::
@@ -49,7 +54,12 @@ ArcKey = tuple[int, int]
 
 
 class BalancedOrientation(Transactional):
-    """Deterministic batch-dynamic H-balanced orientation."""
+    """Deterministic batch-dynamic H-balanced orientation.
+
+    An arc's filing state is its truncated rank (``tr_of``) and its tail's
+    truncated level; its §4.1 label is not stored per arc but derived from
+    ``vertex_label`` when the token-pushing game looks it up.
+    """
 
     def __init__(
         self,
@@ -66,8 +76,9 @@ class BalancedOrientation(Transactional):
         self.level: dict[int, int] = {}
         # per-arc filing state, keyed (tail, head, copy)
         self.tr_of: dict[tuple[int, int, int], int] = {}
-        self.label_of: dict[tuple[int, int, int], int] = {}
-        # vertex label applied to out-arcs of rank <= H (deletion game)
+        # deletion-game label of each labelled vertex; it is the label of
+        # the vertex's out-arcs of rank <= H (0 beyond rank H, and 0 for
+        # every vertex absent here)
         self.vertex_label: dict[int, int] = {}
         # undirected (min, max, copy) -> current tail
         self.tail_of: dict[tuple[int, int, int], int] = {}
@@ -142,7 +153,6 @@ class BalancedOrientation(Transactional):
         self.inx = {}
         self.level = {}
         self.tr_of = {}
-        self.label_of = {}
         self.vertex_label = {}
         self.tail_of = {}
 
@@ -166,19 +176,17 @@ class BalancedOrientation(Transactional):
         unit = self._logn()
         self.cm.charge(work=unit, depth=unit)
 
-    def _expected_filing(self, tail: int, position: int) -> tuple[int, int, int]:
-        """(tr, label, lev) an arc at 1-indexed ``position`` must be filed at."""
+    def _expected_filing(self, tail: int, position: int) -> tuple[int, int]:
+        """(tr, lev) an arc at 1-indexed ``position`` must be filed at."""
         tr = position if position <= self.H else self.H + 1
-        label = self.vertex_label.get(tail, 0) if position <= self.H else 0
-        return tr, label, levkey(self.level.get(tail, 0), self.H)
+        return tr, levkey(self.level.get(tail, 0), self.H)
 
     def _refile(self, tail: int, lo: int, hi: int) -> None:
         """Re-file arcs of ``tail`` at positions ``lo..hi`` (clamped).
 
-        Recomputes the expected (tr, label, lev) of each arc and diffs with
-        the stored filing — the single funnel through which rank shifts,
-        label changes and level changes all flow (keeps the index correct
-        by construction).
+        Recomputes the expected truncated rank of each arc and diffs with
+        the stored one — the single funnel through which rank shifts flow
+        (keeps the index correct by construction).
         """
         outset = self.out.get(tail)
         if outset is None:
@@ -192,29 +200,21 @@ class BalancedOrientation(Transactional):
             logn = self._logn()
             self.cm.charge(work=span * logn, depth=logn)
         # the stored and expected levels agree inside a window (both are
-        # levkey(level[tail])), so only (tr, label) can differ — this loop
-        # is _expected_filing unrolled with the level component hoisted.
+        # levkey(level[tail])), so only tr can differ — this loop is
+        # _expected_filing unrolled with the level component hoisted.
         lev = self._stored_lev(tail)
         H = self.H
-        label_v = self.vertex_label.get(tail, 0)
-        tr_of, label_of, inx = self.tr_of, self.label_of, self.inx
+        tr_of, inx = self.tr_of, self.inx
         position = lo - 1
         for head, copy in outset.window(lo, hi):
             position += 1
-            if position <= H:
-                tr, label = position, label_v
-            else:
-                tr, label = H + 1, 0
+            tr = position if position <= H else H + 1
             arc = (tail, head, copy)
             stored_tr = tr_of[arc]
-            stored_label = label_of[arc]
-            if stored_tr != tr or stored_label != label:
+            if stored_tr != tr:
                 # a filed arc's head always has an in-index — direct hit
-                inx[head].move(
-                    (tail, copy), (stored_tr, stored_label, lev), (tr, label, lev)
-                )
+                inx[head].move((tail, copy), (stored_tr, lev), (tr, lev))
                 tr_of[arc] = tr
-                label_of[arc] = label
 
     def _stored_lev(self, tail: int) -> int:
         return levkey(self.level.get(tail, 0), self.H)
@@ -227,10 +227,9 @@ class BalancedOrientation(Transactional):
         outset.add((head, copy))
         position = outset.rank((head, copy))
         arc = (tail, head, copy)
-        tr, label, lev = self._expected_filing(tail, position)
+        tr, lev = self._expected_filing(tail, position)
         self.tr_of[arc] = tr
-        self.label_of[arc] = label
-        self._inx(head).add(tail_key(tail, copy), tr, label, lev)
+        self._inx(head).add(tail_key(tail, copy), tr, lev)
         # ranks of later arcs shifted up by one; only first H+1 positions file.
         self._refile(tail, position + 1, self.H + 1)
         a, b = norm_edge(tail, head)
@@ -246,8 +245,9 @@ class BalancedOrientation(Transactional):
         if outset is None or (head, copy) not in outset:
             raise InvariantViolation(f"arc {arc} missing from out-set")
         position = outset.rank((head, copy))
-        stored = (self.tr_of.pop(arc), self.label_of.pop(arc), self._stored_lev(tail))
-        self.inx[head].remove(tail_key(tail, copy), *stored)
+        self.inx[head].remove(
+            tail_key(tail, copy), self.tr_of.pop(arc), self._stored_lev(tail)
+        )
         outset.remove((head, copy))
         self._refile(tail, position, self.H + 1)
         a, b = norm_edge(tail, head)
@@ -273,28 +273,32 @@ class BalancedOrientation(Transactional):
             if outset is not None:
                 old_lev = levkey(old, self.H)
                 new_lev = levkey(new, self.H)
-                tr_of, label_of, inx = self.tr_of, self.label_of, self.inx
+                tr_of, inx = self.tr_of, self.inx
                 for head, copy in outset:  # moves touch the index, not the set
-                    arc = (v, head, copy)
-                    tr, label = tr_of[arc], label_of[arc]
-                    inx[head].move(
-                        (v, copy), (tr, label, old_lev), (tr, label, new_lev)
-                    )
+                    tr = tr_of[(v, head, copy)]
+                    inx[head].move((v, copy), (tr, old_lev), (tr, new_lev))
             self._charge_arc_op()
         else:
             self.cm.charge(work=1, depth=1)
 
     def _apply_vertex_label(self, v: int, label: int) -> None:
-        """Set the deletion-game label of ``v`` on its rank <= H out-arcs."""
+        """Set the deletion-game label of ``v`` on its rank <= H out-arcs.
+
+        Only the dict changes: the in-index reads labels at lookup time.
+        The charge is the paper's, which re-files the ``min(H, d+(v))``
+        labelled arcs in parallel (one ``log n`` unit each, one unit of
+        depth), plus the ``(H+1) log n`` label write itself.
+        """
         if self.vertex_label.get(v, 0) == label:
             return
         if label:
             self.vertex_label[v] = label
         else:
             self.vertex_label.pop(v, None)
-        self._refile(v, 1, self.H)
-        unit = (self.H + 1) * self._logn()
-        self.cm.charge(work=unit, depth=unit)
+        logn = self._logn()
+        unit = (self.H + 1) * logn
+        span = min(self.H, len(self.out.get(v, ())))
+        self.cm.charge(work=span * logn + unit, depth=(logn if span else 0) + unit)
 
     # ------------------------------------------------------------------ batch API
 
@@ -517,7 +521,7 @@ class BalancedOrientation(Transactional):
         # filing consistency: every arc filed exactly once, at the right key
         filed = 0
         for head, index in self.inx.items():
-            for tkey, tr, label, lev in index.entries():
+            for tkey, tr, lev in index.entries():
                 tail, copy = tkey
                 arc = (tail, head, copy)
                 if arc not in self.tr_of:
@@ -527,9 +531,9 @@ class BalancedOrientation(Transactional):
                     raise InvariantViolation(f"in-index entry {arc} has no arc")
                 position = outset.rank((head, copy))
                 expected = self._expected_filing(tail, position)
-                if (tr, label, lev) != expected:
+                if (tr, lev) != expected or self.tr_of[arc] != tr:
                     raise InvariantViolation(
-                        f"arc {arc} filed at {(tr, label, lev)}, expected {expected}"
+                        f"arc {arc} filed at {(tr, lev)}, expected {expected}"
                     )
                 filed += 1
         total_arcs = sum(len(o) for o in self.out.values())

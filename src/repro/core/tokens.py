@@ -26,6 +26,20 @@ truncated-rank ``H+1`` round whose received tokens are *transparent*
 ``min(H, d+)``, the paper's dummy-vertex interpretation).  Halts within
 O(H^3) phases (Lemma 4.18); settlement subtracts each vertex's absorbed
 token count from its level.
+
+Labels are not part of the in-index key (see :mod:`repro.core.inindex`):
+a round asks for the minimum tail at ``(i, level(v) + 1)`` whose vertex
+carries no label, which is the head of the paper's label-0 BST.
+
+**Rank cap.**  A push game only ever flips arcs or absorbs decrements, so
+every vertex keeps ``len(out[w]) = level[w] - pending_dec[w] <= level[w]``
+while it runs.  A tail filed at truncated level ``L < H`` therefore has
+no arc of rank ``> L``, and ``v``'s probe at rank ``i`` can only hit when
+``i <= level(v) + 1`` (``level(v) < H`` for every ``v`` in ``S``, so the
+cap is exact at ``L = H`` too).  Rounds skip the lookup above the cap but
+still charge the probe, and once ``i`` passes the largest cap in ``S`` the
+remaining rounds are charged in one call — ``CostModel.charge`` adds into
+the current frame, so the totals are those of one charge per round.
 """
 
 from __future__ import annotations
@@ -163,7 +177,10 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
 
             with _trace.span("game.push.ranks"):
                 inx_get = st.inx.get
-                level_get = st.level.get
+                labels = st.vertex_label
+                # (v, its in-index, the tail level it asks for = its rank cap)
+                askers = [(v, inx_get(v), st.level.get(v, 0) + 1) for v in S_sorted]
+                top = max((cap for _v, _ix, cap in askers), default=0)
                 for i in range(1, H + 1):  # rank rounds
                     sends: list[tuple[int, tuple[int, int]]] = []
                     # One charged BST probe per branch, no mutations inside
@@ -172,19 +189,23 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                     # in aggregate (bit-identical to per-branch charges;
                     # the frames were the hot path).
                     probes = 0
-                    for v in S_sorted:
+                    for v, index, cap in askers:
                         if v not in token:
                             continue  # already sent its token this phase
                         probes += 1
-                        index = inx_get(v)
-                        if index is None:
-                            continue
-                        wkey = index.any_at(i, 0, level_get(v, 0) + 1)
+                        if i > cap or index is None:
+                            continue  # no tail at level cap has rank i
+                        wkey = index.any_at(i, cap, labels)
                         if wkey is not None:
                             sends.append((v, wkey))
                     if probes:
                         logn = st._logn()
-                        st.cm.charge(work=probes * logn, depth=logn)
+                        # past every cap nothing can send: charge rounds
+                        # i..H at once and leave
+                        rest = H - i + 1 if i > top else 1
+                        st.cm.charge(work=rest * probes * logn, depth=rest * logn)
+                    if i > top:
+                        break
                     # canonical order: each v sends at most once, so sorting makes
                     # the flip sequence a pure function of the phase's input.
                     for v, (w, copy) in sorted(sends):
@@ -219,7 +240,7 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                     tindex = st.inx.get(v)
                     if tindex is None:
                         continue
-                    twkey = tindex.any_truncated(H + 1, H)
+                    twkey = tindex.any_at(H + 1, H)
                     if twkey is not None:
                         sends.append((v, twkey))
                 if probes:

@@ -434,18 +434,21 @@ class ProcessExecutor:
         pending = list(range(len(payloads)))
         for round_no in range(self.task_retries + 1):
             pool = self._ensure_pool()
-            futures = {
-                i: pool.submit(
-                    _pool_task_worker, payloads[i] + (_wallclock.monotonic(),)
-                )
-                for i in pending
-            }
-            failed: list[int] = []
+            futures = {}
             for i in pending:
                 try:
-                    results[i] = futures[i].result(timeout=self.task_timeout)
+                    futures[i] = pool.submit(
+                        _pool_task_worker, payloads[i] + (_wallclock.monotonic(),)
+                    )
+                except BrokenExecutor:
+                    break  # a worker died while we were still submitting
+            failed: list[int] = []
+            for i, future in futures.items():
+                try:
+                    results[i] = future.result(timeout=self.task_timeout)
                 except self.RETRYABLE:
                     failed.append(i)
+            failed += pending[len(futures):]  # never submitted: fail this round too
             if not failed:
                 return results  # type: ignore[return-value]
             # a worker died or hung: the whole pool is suspect — discard it

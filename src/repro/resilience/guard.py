@@ -156,9 +156,9 @@ def rollback(st: Any, snap: Snapshot) -> None:
 def _rebuild_balanced(st: Any, snap: Snapshot) -> None:
     """Reset a ``BalancedOrientation`` and re-file every snapshot arc.
 
-    Pre-seeding levels and labels before the ``_arc_add`` loop makes every
-    arc file under its final (tr, label, lev) key immediately — the same
-    trick ``core/snapshot.py`` uses, at the same O(m H log n) cost (charged
+    Pre-seeding levels before the ``_arc_add`` loop makes every arc file
+    under its final (tr, lev) key immediately — the same trick
+    ``core/snapshot.py`` uses, at the same O(m H log n) cost (charged
     through ``_arc_add``).
     """
     st._reset_storage()

@@ -1,6 +1,6 @@
 """Golden contract: the orientation storage reproduces recorded streams.
 
-``golden_streams.json`` holds, for three seeded streams, every query
+``golden_streams.json`` holds, for four seeded streams, every query
 answer after every batch, the cost model's work and depth after every
 batch, and the final counters.  The figures were recorded on the
 [PP01]-substitute search trees the storage layer used before the sorted
@@ -15,7 +15,11 @@ The streams:
 * ``ba_grow`` -- a Barabasi-Albert insert-only stream through both
   ladders;
 * ``er_window`` -- an Erdos-Renyi sliding-window stream (inserts plus
-  expiring deletes) through both ladders.
+  expiring deletes) through both ladders;
+* ``er_window_strict`` -- a denser sliding-window stream through both
+  ladders with ``strict_paper_transparency=True``: the E15 ablation path
+  of the token-pushing game, recorded before the in-index dropped edge
+  labels from its filing key.
 
 Regenerate (only when a change is *meant* to move answers or charges)::
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,33 +43,39 @@ from repro.instrument.work_depth import CostModel
 
 GOLDEN = Path(__file__).with_name("golden_streams.json")
 
-#: E21's constants (benchmarks/common.py), used for every stream.
+#: E21's constants (benchmarks/common.py), used for every other stream.
 CONSTANTS = Constants(sample_c=0.5, min_B=4, duplication_cap=8)
+#: The same constants with the paper's literal transparency rule (E15).
+STRICT = replace(CONSTANTS, strict_paper_transparency=True)
 
 
 def _spec(name: str):
-    """(n, ops, eps, seed, ladders) of one golden stream."""
+    """(n, ops, eps, seed, ladders, constants) of one golden stream."""
+    both = ("coreness", "density")
     if name == "e21":
         n, edges = generators.erdos_renyi(48, 240, seed=21)
         ops = streams.insert_then_delete(edges, 24, seed=21)
-        return n, ops, 0.35, 21, ("coreness",)
+        return n, ops, 0.35, 21, ("coreness",), CONSTANTS
     if name == "ba_grow":
         n, edges = generators.barabasi_albert(40, 3, seed=7)
-        return n, streams.insert_only(edges, 8), 0.3, 7, ("coreness", "density")
+        return n, streams.insert_only(edges, 8), 0.3, 7, both, CONSTANTS
     if name == "er_window":
         n, edges = generators.erdos_renyi(32, 96, seed=11)
-        return n, streams.sliding_window(edges, 4, 8), 0.3, 11, ("coreness", "density")
+        return n, streams.sliding_window(edges, 4, 8), 0.3, 11, both, CONSTANTS
+    if name == "er_window_strict":
+        n, edges = generators.erdos_renyi(32, 160, seed=13)
+        return n, streams.sliding_window(edges, 4, 12), 0.3, 13, both, STRICT
     raise KeyError(name)
 
 
-STREAMS = ("e21", "ba_grow", "er_window")
+STREAMS = ("e21", "ba_grow", "er_window", "er_window_strict")
 
 
 def record(name: str) -> dict:
     """Replay one stream and record its answers and accounting."""
-    n, ops, eps, seed, ladders = _spec(name)
+    n, ops, eps, seed, ladders, constants = _spec(name)
     cm = CostModel()
-    kw = dict(eps=eps, cm=cm, constants=CONSTANTS, seed=seed)
+    kw = dict(eps=eps, cm=cm, constants=constants, seed=seed)
     core = CorenessDecomposition(n, **kw) if "coreness" in ladders else None
     dens = DensityEstimator(n, **kw) if "density" in ladders else None
     batches = []

@@ -69,76 +69,97 @@ class TestOutSet:
 class TestInIndex:
     def test_add_lookup(self):
         ix = InIndex()
-        ix.add((3, 0), tr=1, label=0, lev=4)
-        assert ix.any_at(1, 0, 4) == (3, 0)
-        assert ix.any_at(1, 0, 5) is None
-        assert ix.any_at(2, 0, 4) is None
-        assert ix.any_at(1, 1, 4) is None
+        ix.add((3, 0), tr=1, lev=4)
+        assert ix.any_at(1, 4) == (3, 0)
+        assert ix.any_at(1, 5) is None
+        assert ix.any_at(2, 4) is None
 
     def test_remove(self):
         ix = InIndex()
-        ix.add((3, 0), 1, 0, 4)
-        ix.remove((3, 0), 1, 0, 4)
-        assert ix.any_at(1, 0, 4) is None
+        ix.add((3, 0), 1, 4)
+        ix.remove((3, 0), 1, 4)
+        assert ix.any_at(1, 4) is None
         assert len(ix) == 0
 
     def test_remove_wrong_slot_raises(self):
         ix = InIndex()
-        ix.add((3, 0), 1, 0, 4)
+        ix.add((3, 0), 1, 4)
         with pytest.raises(AssertionError):
-            ix.remove((3, 0), 2, 0, 4)
+            ix.remove((3, 0), 2, 4)
 
     def test_double_add_raises(self):
         ix = InIndex()
-        ix.add((3, 0), 1, 0, 4)
+        ix.add((3, 0), 1, 4)
         with pytest.raises(AssertionError):
-            ix.add((3, 0), 1, 0, 4)
+            ix.add((3, 0), 1, 4)
 
     def test_move(self):
         ix = InIndex()
-        ix.add((3, 0), 1, 0, 4)
-        ix.move((3, 0), (1, 0, 4), (2, 1, 5))
-        assert ix.any_at(1, 0, 4) is None
-        assert ix.any_at(2, 1, 5) == (3, 0)
+        ix.add((3, 0), 1, 4)
+        ix.move((3, 0), (1, 4), (2, 5))
+        assert ix.any_at(1, 4) is None
+        assert ix.any_at(2, 5) == (3, 0)
 
     def test_any_at_returns_minimum_tail(self):
         ix = InIndex()
         for tail in [(9, 0), (2, 1), (5, 0), (2, 0)]:
-            ix.add(tail, 1, 0, 4)
-        assert ix.any_at(1, 0, 4) == (2, 0)
-        ix.remove((2, 0), 1, 0, 4)
-        assert ix.any_at(1, 0, 4) == (2, 1)
+            ix.add(tail, 1, 4)
+        assert ix.any_at(1, 4) == (2, 0)
+        ix.remove((2, 0), 1, 4)
+        assert ix.any_at(1, 4) == (2, 1)
+
+    def test_any_at_skips_to_minimum_unskipped_tail(self):
+        ix = InIndex()
+        for tail in [(9, 0), (2, 0), (5, 0), (4, 1)]:
+            ix.add(tail, 1, 4)
+        assert ix.any_at(1, 4, skip={2: 1, 4: 3}) == (5, 0)
+        assert ix.any_at(1, 4, skip={}) == (2, 0)
+
+    def test_any_at_all_tails_skipped(self):
+        ix = InIndex()
+        for tail in [(9, 0), (2, 0)]:
+            ix.add(tail, 1, 4)
+        assert ix.any_at(1, 4, skip={2: 1, 9: 2}) is None
+        assert ix.any_at(1, 5, skip={2: 1}) is None
+
+    def test_any_at_skip_covers_every_copy_of_a_tail(self):
+        # a skipped vertex hides all of its copy-keyed tails, and only its own
+        ix = InIndex()
+        for tail in [(3, 0), (3, 1), (3, 2), (7, 0)]:
+            ix.add(tail, 2, 4)
+        assert ix.any_at(2, 4, skip={3: 2}) == (7, 0)
+        assert ix.any_at(2, 4, skip={7: 2}) == (3, 0)
 
     def test_move_from_unfiled_slot_raises(self):
         ix = InIndex()
-        ix.add((3, 0), 1, 0, 4)
+        ix.add((3, 0), 1, 4)
         with pytest.raises(AssertionError):
-            ix.move((3, 0), (2, 0, 4), (1, 1, 4))
-        assert ix.any_at(1, 0, 4) == (3, 0)
+            ix.move((3, 0), (2, 4), (1, 5))
+        assert ix.any_at(1, 4) == (3, 0)
 
     def test_move_onto_filed_tail_raises(self):
         ix = InIndex()
-        ix.add((3, 0), 1, 0, 4)
-        ix.add((3, 0), 2, 0, 4)
+        ix.add((3, 0), 1, 4)
+        ix.add((3, 0), 2, 4)
         with pytest.raises(AssertionError):
-            ix.move((3, 0), (1, 0, 4), (2, 0, 4))
+            ix.move((3, 0), (1, 4), (2, 4))
 
     def test_move_identity_is_noop(self):
         ix = InIndex()
-        ix.add((3, 0), 1, 0, 4)
-        ix.move((3, 0), (1, 0, 4), (1, 0, 4))
-        assert ix.any_at(1, 0, 4) == (3, 0)
+        ix.add((3, 0), 1, 4)
+        ix.move((3, 0), (1, 4), (1, 4))
+        assert ix.any_at(1, 4) == (3, 0)
 
-    def test_any_truncated_scans_labels(self):
+    def test_truncated_rank_lookup_needs_no_skip(self):
         ix = InIndex()
-        ix.add((3, 0), tr=6, label=2, lev=5)
-        assert ix.any_truncated(6, 5) == (3, 0)
-        assert ix.any_truncated(6, 4) is None
+        ix.add((3, 0), tr=6, lev=5)
+        assert ix.any_at(6, 5) == (3, 0)
+        assert ix.any_at(6, 4) is None
 
     def test_entries_roundtrip(self):
         ix = InIndex()
-        data = [((1, 0), 1, 0, 2), ((2, 0), 3, 1, 4), ((2, 1), 3, 1, 4)]
-        for tail, tr, label, lev in data:
-            ix.add(tail, tr, label, lev)
+        data = [((1, 0), 1, 2), ((2, 0), 3, 4), ((2, 1), 3, 4)]
+        for tail, tr, lev in data:
+            ix.add(tail, tr, lev)
         assert sorted(ix.entries()) == sorted(data)
         assert len(ix) == 3

@@ -39,25 +39,27 @@ class TestCorruptionDetected:
 
     def test_stray_index_entry(self):
         st = build()
-        st._inx(0).add(tail_key(99, 0), 1, 0, 2)
+        st._inx(0).add(tail_key(99, 0), 1, 2)
         with pytest.raises(InvariantViolation):
             st.check_invariants()
 
     def test_missing_index_entry(self):
         st = build()
         head, index = next((h, ix) for h, ix in st.inx.items() if len(ix) > 0)
-        tail, tr, label, lev = next(iter(index.entries()))
-        index.remove(tail, tr, label, lev)
+        tail, tr, lev = next(iter(index.entries()))
+        index.remove(tail, tr, lev)
         with pytest.raises(InvariantViolation):
             st.check_invariants()
 
     def test_wrong_filing_slot(self):
-        st = build()
-        head, index = next((h, ix) for h, ix in st.inx.items() if len(ix) > 0)
-        tail, tr, label, lev = next(iter(index.entries()))
-        index.move(tail, (tr, label, lev), (tr, 3, lev))
-        with pytest.raises(InvariantViolation):
-            st.check_invariants()
+        # re-file one in-edge at a wrong truncated rank, then at a wrong level
+        for dtr, dlev in [(1, 0), (0, 1)]:
+            st = build()
+            head, index = next((h, ix) for h, ix in st.inx.items() if len(ix) > 0)
+            tail, tr, lev = next(iter(index.entries()))
+            index.move(tail, (tr, lev), (tr + dtr, lev + dlev))
+            with pytest.raises(InvariantViolation):
+                st.check_invariants()
 
     def test_leftover_label(self):
         st = build()
