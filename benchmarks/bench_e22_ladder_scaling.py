@@ -1,32 +1,27 @@
-"""E22 — ladder sharding: executor backends and rung-skip filtering.
+"""E22 — ladder sharding: the rung sweep and rung-skip filtering.
 
 The ladder's rungs are independent (that independence *is* Theorems
-1.1/1.2's parallelism), so rung sweeps route through a pluggable executor
-(docs/PERFORMANCE.md).  This experiment drives a skewed stream — a planted
-dense block that saturates the low rungs plus a sparse periphery that
-leaves the tall rungs untouched — through five configurations:
+1.1/1.2's parallelism), so each batch runs every rung as one branch of a
+single parallel region (docs/PERFORMANCE.md).  This experiment drives a
+skewed stream — a planted dense block that saturates the low rungs plus a
+sparse periphery that leaves the tall rungs untouched — through two
+configurations:
 
-* **serial** — the default backend; the baseline.
-* **process x2** — real process parallelism with merged worker deltas;
-  the delta-merge contract makes its work/depth/counters *bit-identical*
-  to serial (asserted below), so the win is wall-clock + the Brent bound.
-* **shm x2** — the resident-state executor: rung state is seeded into persistent workers once over
-  shared memory and every later batch ships only ops + scalar deltas.
+* **serial** — the default sweep; the baseline.  Its parallel speedup
+  is the Brent projection of its work/depth.
 * **skip** — rung-skip filtering; tall rungs whose hint sits above the
   degree bound defer updates, cutting *model work* without changing any
   answer (asserted below).
-* **process x2 + skip** — both classic knobs.
 
 Absolute wall-clock numbers are hardware-noisy; the reproduction targets
-are the invariants (bit-identity, answer-preservation) and the work/skip
-shapes.  ``REPRO_E22_TINY=1`` shrinks the trace for CI smoke runs.
+are the invariants (answer-preservation) and the work/skip shapes.
+``REPRO_E22_TINY=1`` shrinks the trace for CI smoke runs.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.config import ExecConfig
 from repro.core import CorenessDecomposition, DensityEstimator
 from repro.graphs import generators as gen, streams
 from repro.instrument import (
@@ -55,12 +50,7 @@ def _trace():
     return streams.insert_then_delete(edges, BATCH, seed=22)
 
 
-def measure(
-    workers: int = 1,
-    rung_skip: bool = False,
-    shared_state: bool = False,
-    traced: bool = False,
-):
+def measure(rung_skip: bool = False, traced: bool = False):
     """Drive both ladders through one configuration; return the observables.
 
     ``traced=True`` arms a phase tracer (telemetry never perturbs the
@@ -69,33 +59,27 @@ def measure(
     """
     ops = _trace()
     cm = CostModel()
-    executor = ExecConfig(workers=workers, shared_state=shared_state).make_executor()
     core = CorenessDecomposition(
-        N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22,
-        executor=executor, rung_skip=rung_skip,
+        N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22, rung_skip=rung_skip,
     )
     dens = DensityEstimator(
-        N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22,
-        executor=executor, rung_skip=rung_skip,
+        N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22, rung_skip=rung_skip,
     )
     timer = BatchTimer(cm)
     tracer = Tracer(cm) if traced else None
     ctx = trace.tracing(tracer) if traced else _null()
     t0 = wallclock.monotonic()
-    try:
-        with ctx:
-            for i, op in enumerate(ops):
-                with trace.span("batch", detail={"index": i, "kind": op.kind}):
-                    with timer.batch(op.kind, op.size):
-                        for st in (core, dens):
-                            if op.kind == "insert":
-                                st.insert_batch(op.edges)
-                            else:
-                                st.delete_batch(op.edges)
-        wall = wallclock.monotonic() - t0
-        answers = (core.estimates(), core.max_estimate(), dens.density_estimate())
-    finally:
-        executor.close()
+    with ctx:
+        for i, op in enumerate(ops):
+            with trace.span("batch", detail={"index": i, "kind": op.kind}):
+                with timer.batch(op.kind, op.size):
+                    for st in (core, dens):
+                        if op.kind == "insert":
+                            st.insert_batch(op.edges)
+                        else:
+                            st.delete_batch(op.edges)
+    wall = wallclock.monotonic() - t0
+    answers = (core.estimates(), core.max_estimate(), dens.density_estimate())
     return {
         "work": cm.work,
         "depth": cm.depth,
@@ -115,11 +99,8 @@ def _null():
 
 
 CONFIGS = [
-    ("serial", dict(workers=1, rung_skip=False, traced=True)),
-    ("process x2", dict(workers=2, rung_skip=False)),
-    ("shm x2", dict(workers=2, shared_state=True)),
-    ("skip", dict(workers=1, rung_skip=True)),
-    ("process x2 + skip", dict(workers=2, rung_skip=True)),
+    ("serial", dict(rung_skip=False, traced=True)),
+    ("skip", dict(rung_skip=True)),
 ]
 
 
@@ -147,16 +128,6 @@ def run_experiment() -> Experiment:
          "W/D", f"Brent T_{P} (<=)", "wall"],
         rows,
     )
-    # the contracts this subsystem is built on
-    for other in ("process x2", "shm x2"):
-        assert (base["work"], base["depth"], base["counters"]) == (
-            runs[other]["work"],
-            runs[other]["depth"],
-            runs[other]["counters"],
-        ), f"{other!r} accounting must be bit-identical to serial"
-        assert base["answers"] == runs[other]["answers"], (
-            f"{other!r} must not change any query answer"
-        )
     assert base["answers"] == runs["skip"]["answers"], (
         "rung-skip must not change any query answer"
     )
@@ -179,63 +150,35 @@ def run_experiment() -> Experiment:
     saved = 1.0 - runs["skip"]["work"] / base["work"]
     return Experiment(
         exp_id="E22",
-        title="ladder sharding — executor backends, rung-skip",
+        title="ladder sharding — the rung sweep, rung-skip",
         claim=(
-            "the ladder's rungs are independent, so rung sweeps parallelise "
-            "across processes with merged cost accounting (bit-identical "
-            "work/depth/counters to serial), and provably-unaffected rungs "
-            "can be skipped without changing any answer"
+            "the ladder's rungs are independent, so one rung sweep is a "
+            "parallel-for whose depth is the deepest rung's, and "
+            "provably-unaffected rungs can be skipped without changing "
+            "any answer"
         ),
         table=table,
         conclusion=(
-            f"the process backend reproduces serial accounting exactly "
-            f"(asserted, bit-for-bit) while the Brent bound projects the "
-            f"sweep's W/D parallelism, and the resident-state backend "
-            f"(shm x2) keeps bit-identity while shipping only per-rung ops "
-            f"after the one-time shared-memory seed.  Rung-skip filtering removes "
+            f"the Brent bound projects the sweep's W/D parallelism from "
+            f"the serial run's work and depth.  Rung-skip filtering removes "
             f"{100 * saved:.0f}% of the model work on this skewed trace "
             f"({runs['skip']['skipped']} rung-batches deferred) with "
             f"byte-identical query answers (asserted) — the filtering is "
-            f"pure savings, not approximation.  The classic process pool "
-            f"still loses wall-clock to whole-structure pickling (honest "
-            f"mismatch, quantified in E24); the resident-state row ships "
-            f"ops instead."
+            f"pure savings, not approximation."
         ),
     )
 
 
-def test_e22_backends_agree():
-    serial = measure(workers=1)
-    proc = measure(workers=2)
-    assert (serial["work"], serial["depth"], serial["counters"]) == (
-        proc["work"],
-        proc["depth"],
-        proc["counters"],
-    )
-    assert serial["answers"] == proc["answers"]
-
-
-def test_e22_shared_state_bit_identical():
-    serial = measure(workers=1)
-    shm = measure(workers=2, shared_state=True)
-    assert (serial["work"], serial["depth"], serial["counters"]) == (
-        shm["work"],
-        shm["depth"],
-        shm["counters"],
-    )
-    assert serial["answers"] == shm["answers"]
-
-
 def test_e22_skip_reduces_work_and_preserves_answers():
-    plain = measure(workers=1)
-    skip = measure(workers=1, rung_skip=True)
+    plain = measure()
+    skip = measure(rung_skip=True)
     assert skip["work"] < plain["work"]
     assert skip["skipped"] > 0
     assert skip["answers"] == plain["answers"]
 
 
 def test_e22_wallclock(benchmark):
-    benchmark.pedantic(lambda: measure(workers=1), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: measure(), rounds=1, iterations=1)
 
 
 if __name__ == "__main__":

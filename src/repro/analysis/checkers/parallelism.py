@@ -1,30 +1,8 @@
-"""Parallelism checker (rule REP-P001).
+"""Parallelism checker (rule REP-P002).
 
-The ladder's rungs are *independent* structures — that independence is the
-whole parallelism story of Theorems 1.1/1.2, and the executor protocol
-(:mod:`repro.pram.executor`, docs/PERFORMANCE.md) is its single audited
-funnel: rung updates become :class:`~repro.pram.executor.RungTask` items
-handed to ``executor.run_structures``, which wraps each one in a cost-model
-branch and (under the process backend) merges worker deltas back.  A bare
-
-    for rung in self.rungs:
-        rung.insert_batch(edges)
-
-re-serialises the sweep, bypasses the backend switch, and records the wrong
-depth (sequential sum instead of branch max).  This checker flags such
-loops statically in the cost-scoped packages:
-
-* **REP-P001** — a ``for`` loop iterating over a ``rungs`` collection whose
-  body calls a batch-mutation method (``insert_batch`` / ``delete_batch``
-  / ``update_batch`` / ``apply_ops``): route it through the executor.
-
-Read-only sweeps (``check_invariants``, snapshot capture) and index loops
-that merely *build* tasks are fine and not flagged.  The deliberate
-sequential replay in ``RungLadder.flush_all_pending`` carries an inline
-``# reprolint: disable=REP-P001`` with its justification.
-
-A second rule polices the *per-iteration cost* of those same hot loops
-(docs/PERFORMANCE.md, the storage-layout story):
+The ladder's rungs and the density guard's buckets are independent
+structures swept once per batch, and their per-edge loops are the hot
+path (docs/PERFORMANCE.md, the storage-layout story):
 
 * **REP-P002** — a per-edge loop (iterating ``edges`` / ``arcs`` /
   per-edge journals, or unpacking ``for u, v in ...``) whose body
@@ -49,12 +27,7 @@ from __future__ import annotations
 import ast
 import re
 
-from ..walker import Checker, attribute_chain
-
-#: batch-mutation methods that must flow through the executor protocol.
-_BATCH_METHODS = frozenset(
-    {"insert_batch", "delete_batch", "update_batch", "apply_ops"}
-)
+from ..walker import Checker
 
 #: iterable names that mark a loop as per-edge (REP-P002).
 _EDGE_ITERABLES = frozenset(
@@ -72,34 +45,6 @@ _CLASS_NAME = re.compile(r"^_?[A-Z][A-Za-z0-9]*$")
 #: so an allocation in their body is a per-edge allocation even though
 #: the edge loop lives in the caller.
 _PER_ITEM_METHODS = frozenset({"add", "insert", "remove", "delete", "move"})
-
-
-def _iterates_rungs(iter_node: ast.AST) -> bool:
-    """Does the loop's iterable mention a ``rungs`` collection?
-
-    Matches ``self.rungs``, ``st.rungs``, ``enumerate(self.rungs)``,
-    ``zip(self.rungs, ...)``, ``range(len(self.rungs))`` — any expression
-    with a ``rungs`` attribute or name anywhere inside it.
-    """
-    for sub in ast.walk(iter_node):
-        if isinstance(sub, ast.Attribute) and sub.attr == "rungs":
-            return True
-        if isinstance(sub, ast.Name) and sub.id == "rungs":
-            return True
-    return False
-
-
-def _batch_call_in(body: list[ast.stmt]) -> ast.Call | None:
-    """The first direct batch-mutation method call in the loop body."""
-    for stmt in body:
-        for sub in ast.walk(stmt):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in _BATCH_METHODS
-            ):
-                return sub
-    return None
 
 
 def _is_edge_loop(node: ast.For) -> bool:
@@ -163,10 +108,9 @@ def _alloc_in(body: list[ast.stmt]) -> tuple[ast.AST, str] | None:
 
 
 class ParallelismChecker(Checker):
-    """Ladder rung sweeps must route through the executor protocol."""
+    """Per-edge hot loops must not allocate a Python object per edge."""
 
     rules = {
-        "REP-P001": "rung update loop bypasses the executor protocol",
         "REP-P002": "per-edge Python-object allocation in a hot loop",
     }
 
@@ -177,20 +121,7 @@ class ParallelismChecker(Checker):
         return self.findings
 
     def visit_For(self, node: ast.For) -> None:
-        if _iterates_rungs(node.iter):
-            call = _batch_call_in(node.body)
-            if call is not None:
-                method = call.func.attr  # type: ignore[union-attr]
-                self.emit(
-                    node,
-                    "REP-P001",
-                    f"loop over rungs calls {method!r} directly — build "
-                    "RungTask items and hand them to executor."
-                    "run_structures so the sweep parallelises and the "
-                    "depth accounting stays a branch max "
-                    "(docs/PERFORMANCE.md)",
-                )
-        elif _is_edge_loop(node):
+        if _is_edge_loop(node):
             alloc = _alloc_in(node.body)
             if alloc is not None:
                 call, what = alloc

@@ -54,7 +54,7 @@ import threading
 from typing import Optional, Sequence
 
 from .baselines import core_numbers, exact_density, greedy_peeling_density
-from .config import Constants, ExecConfig
+from .config import Constants
 from .core import CorenessDecomposition, DensityEstimator
 from .graphs import DynamicGraph, generators, streams
 from .graphs.tracefile import (
@@ -114,20 +114,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _exec_config(args) -> ExecConfig:
-    """The execution-backend configuration the CLI flags describe."""
-    return ExecConfig(
-        workers=getattr(args, "workers", 1),
-        rung_skip=bool(getattr(args, "rung_skip", False)),
-        task_timeout=getattr(args, "task_timeout", None),
-        task_retries=getattr(args, "task_retries", 2),
-        shared_state=bool(getattr(args, "shared_state", False)),
-    )
-
-
-def _build_structures(
-    args, n: int, cm: CostModel, executor: object = None
-) -> list[tuple[str, object]]:
+def _build_structures(args, n: int, cm: CostModel) -> list[tuple[str, object]]:
     rung_skip = bool(getattr(args, "rung_skip", False))
     structures: list[tuple[str, object]] = []
     if args.mode in ("coreness", "both"):
@@ -136,7 +123,7 @@ def _build_structures(
                 "coreness",
                 CorenessDecomposition(
                     n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    executor=executor, rung_skip=rung_skip,
+                    rung_skip=rung_skip,
                 ),
             )
         )
@@ -146,7 +133,7 @@ def _build_structures(
                 "density",
                 DensityEstimator(
                     n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    executor=executor, rung_skip=rung_skip,
+                    rung_skip=rung_skip,
                 ),
             )
         )
@@ -239,7 +226,6 @@ def cmd_run(args) -> int:
     cm = CostModel()
     REGISTRY.clear()
     timer = BatchTimer(cm, registry=REGISTRY)
-    executor = _exec_config(args).make_executor()
     live = bool(getattr(args, "live", False))
     serve_port = getattr(args, "serve_metrics", None)
     linger = max(0.0, getattr(args, "metrics_linger", 0.0) or 0.0)
@@ -248,7 +234,7 @@ def cmd_run(args) -> int:
     try:
         if serve_port is not None:
             server = _serve_metrics_or_die(REGISTRY, serve_port)
-        structures = _build_structures(args, n, cm, executor=executor)
+        structures = _build_structures(args, n, cm)
 
         progress = getattr(args, "progress", 0)
         telemetry = getattr(args, "telemetry", None)
@@ -293,7 +279,6 @@ def cmd_run(args) -> int:
         if server is not None and (not linger or sys.exc_info()[0] is not None):
             server.close()
             server = None
-        executor.close()
 
     series = timer.series
     rows = [
@@ -337,22 +322,18 @@ def cmd_profile(args) -> int:
 
     ``--bench-out DIR`` writes the machine-readable ``BENCH_<name>.json``
     perf summary; ``--prom PATH`` dumps the metrics registry in Prometheus
-    text exposition; ``--overhead`` prints the executor's wall-clock
-    overhead ledger (per-rung pickle/queue/compute attribution plus the
-    coordinator timeline — docs/OBSERVABILITY.md); ``--check`` replays a
-    second time *disarmed* and fails if work, depth, or any counter
-    differs — the tracing-never-perturbs-the-cost-model guarantee,
-    enforced end to end.
+    text exposition; ``--check`` replays a second time *disarmed* and
+    fails if work, depth, or any counter differs — the
+    tracing-never-perturbs-the-cost-model guarantee, enforced end to end.
     """
     ops = read_trace(args.trace)
     n = max(validate_trace(ops), 2)
-    executor = _exec_config(args).make_executor()
 
     def measure(armed: bool):
         cm = CostModel()
         REGISTRY.clear()
         timer = BatchTimer(cm, registry=REGISTRY)
-        structures = _build_structures(args, n, cm, executor=executor)
+        structures = _build_structures(args, n, cm)
         if not armed:
             _replay(ops, structures, timer)
             return cm, timer, None
@@ -366,13 +347,6 @@ def cmd_profile(args) -> int:
                 jsonl.close()
         return cm, timer, tracer
 
-    try:
-        return _profile_body(args, measure, executor)
-    finally:
-        executor.close()
-
-
-def _profile_body(args, measure, executor=None) -> int:
     cm, timer, tracer = measure(armed=True)
     root = tracer.root
     if root.work != cm.work or root.total_self_work() != root.work:
@@ -387,12 +361,6 @@ def _profile_body(args, measure, executor=None) -> int:
         f"\nphase-tree work {root.work} == cost-model work {cm.work} (exact); "
         f"depth {cm.depth}"
     )
-
-    if getattr(args, "overhead", False) and executor is not None:
-        # printed before any --check re-run so the ledger reflects the
-        # armed replay only.
-        print()
-        print(executor.stats.render())
 
     if args.prom:
         with open(args.prom, "w", encoding="utf-8") as fh:
@@ -475,7 +443,7 @@ def cmd_scenarios(args) -> int:
     """Drive the adversarial scenario engine (docs/SCENARIOS.md).
 
     Default: soak the catalog (or ``--scenario NAME``) through chaos
-    fault injection and/or the five-config differential panel at the
+    fault injection and/or the four-config differential panel at the
     chosen ``--scale``; exit 0 iff every verdict is GREEN.
     ``--trace-out PATH`` instead spills one scenario's stream to a
     sealed trace file *out-of-core* — the stream is drained straight
@@ -736,7 +704,7 @@ def cmd_verify(args) -> int:
         H=args.height,
         constants=CONSTANTS,
         deep_every=args.deep_every,
-        exec_config=_exec_config(args),
+        rung_skip=args.rung_skip,
     )
     print(report.render())
     return 0 if report.ok else 1
@@ -830,22 +798,10 @@ def cmd_verify_diff(args) -> int:
     return 1
 
 
-def _add_exec_args(sub: argparse.ArgumentParser) -> None:
-    """Execution-backend flags shared by ``run`` and ``profile``."""
-    sub.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="rung-sweep process count (1 = serial, the default)")
+def _add_rung_skip(sub: argparse.ArgumentParser) -> None:
+    """The ``--rung-skip`` flag shared by ``run``, ``profile`` and ``verify``."""
     sub.add_argument("--rung-skip", action="store_true",
                      help="defer provably-unaffected ladder rungs (perf opt)")
-    sub.add_argument("--task-timeout", type=float, default=None, metavar="SEC",
-                     help="treat a rung-task worker as hung after SEC seconds "
-                          "(retried, then degraded to in-process; default: wait)")
-    sub.add_argument("--task-retries", type=int, default=2, metavar="K",
-                     help="pool-rebuild retry rounds before a failing rung "
-                          "task degrades to in-process execution")
-    sub.add_argument("--shared-state", action="store_true",
-                     help="with --workers > 1: keep rung state resident in "
-                          "the workers and ship only per-rung deltas "
-                          "(seeded once via multiprocessing.shared_memory)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -887,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--metrics-linger", type=float, default=0.0, metavar="SEC",
                    help="keep the --serve-metrics server up SEC seconds "
                         "after the replay so scrapers can still reach it")
-    _add_exec_args(r)
+    _add_rung_skip(r)
     r.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
@@ -906,12 +862,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a JSONL span/event log to PATH")
     p.add_argument("--prom", metavar="PATH",
                    help="dump the metrics registry as Prometheus text")
-    p.add_argument("--overhead", action="store_true",
-                   help="print the executor wall-clock overhead ledger "
-                        "(per-rung pickle/queue/compute attribution)")
     p.add_argument("--check", action="store_true",
                    help="replay disarmed too; fail on any work/depth/counter drift")
-    _add_exec_args(p)
+    _add_rung_skip(p)
     p.set_defaults(func=cmd_profile)
 
     e = sub.add_parser("exact", help="exact offline measures of a trace's final graph")
@@ -928,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--replay", metavar="ARTIFACT",
                    help="re-run a minimized repro artifact; exit 0 iff it "
                         "still reproduces the recorded failure")
-    _add_exec_args(v)
+    _add_rung_skip(v)
     v.set_defaults(func=cmd_verify)
     v_sub = v.add_subparsers(dest="verify_cmd")
     d = v_sub.add_parser(
@@ -947,8 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--deep-every", type=int, default=0,
                    help="audit the baseline vs the exact oracles every N batches")
     d.add_argument("--configs", metavar="A,B,...",
-                   help="comma-separated panel (default: serial, process-2, "
-                        "telemetry, rung-skip, chaos-recovered)")
+                   help="comma-separated panel (default: serial, telemetry, "
+                        "rung-skip, chaos-recovered)")
     d.add_argument("--inject", metavar="SITE[:HIT[:ACTION]]",
                    help="add an un-recovered fault-injected config (the "
                         "harness must catch and shrink it)")

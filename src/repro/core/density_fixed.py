@@ -31,8 +31,8 @@ from typing import Iterable, Literal, Optional
 from ..config import DEFAULT_CONSTANTS, Constants, check_eps, check_height
 from ..errors import BatchError
 from ..graphs.graph import norm_edge
+from ..instrument import trace as _trace
 from ..instrument.work_depth import CostModel
-from ..pram.executor import RungTask, SerialExecutor
 from .balanced import BalancedOrientation
 from .duplicated import DuplicatedBalanced
 from .ladder import RungOps
@@ -51,7 +51,6 @@ class FixedHDensityGuard(RungOps):
         cm: Optional[CostModel] = None,
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
-        executor: Optional[object] = None,
     ) -> None:
         self.H = check_height(H)
         self.eps = check_eps(eps)
@@ -60,7 +59,6 @@ class FixedHDensityGuard(RungOps):
         self.seed = seed
         self.B = constants.B(n, eps)
         self.cm = cm if cm is not None else CostModel()
-        self.executor = executor if executor is not None else SerialExecutor()
         self.changed_edges: set[tuple[int, int]] = set()
 
         if self.H >= self.B / eps:
@@ -122,34 +120,22 @@ class FixedHDensityGuard(RungOps):
         self._bucket_sweep("delete_batch", edges)
 
     def _bucket_sweep(self, method: str, edges: list[tuple[int, int]]) -> None:
-        """Run each bucket's share as an independent executor task.
+        """Run each bucket's share as one branch of a parallel region.
 
         The buckets are the ``T`` independent BALANCED(B) structures of
-        the partition regime — the same shape as the ladder's rung sweep,
-        so they share the executor protocol.  Journal absorption happens
-        coordinator-side inside each task's accounting branch (``finish``)
-        exactly where the inline loop charged it.
+        the partition regime — the same shape as the ladder's rung sweep.
+        Journal absorption is charged inside each bucket's branch.
         """
         groups: dict[int, list[tuple[int, int]]] = {}
         for e in edges:
             groups.setdefault(self._bucket_of(*e), []).append(e)
-        tasks = [
-            RungTask(
-                structure=self._bucket(i),
-                method=method,
-                args=(groups[i],),
-                finish=self._absorb_journal,
-                install=self._bucket_installer(i),
-            )
-            for i in sorted(groups)
-        ]
-        self.executor.run_structures(self.cm, tasks)
-
-    def _bucket_installer(self, i: int):
-        def install(bucket: BalancedOrientation) -> None:
-            self._buckets[i] = bucket
-
-        return install
+        units = [(self._bucket(i), groups[i]) for i in sorted(groups)]
+        with _trace.span("pram.map", detail={"items": len(units)}, backend="serial"):
+            with self.cm.parallel() as region:
+                for bucket, share in units:
+                    with region.branch():
+                        getattr(bucket, method)(share)
+                        self._absorb_journal(bucket)
 
     def _absorb_journal(self, inner: BalancedOrientation) -> None:
         """Record undirected edges whose orientation may have changed —
@@ -198,8 +184,8 @@ class FixedHDensityGuard(RungOps):
         if self.regime == "duplication":
             return self.dup.majority_orientation(u, v)
         # .get, not _bucket(): a query must never materialise a bucket —
-        # reads have to leave the structure byte-for-byte unchanged so
-        # resident worker copies (SharedStateExecutor) stay coherent.
+        # reads leave the structure unchanged, so state captured after a
+        # query (checkpoints, snapshots) equals state captured without one.
         bucket = self._buckets.get(self._bucket_of(u, v))
         if bucket is None:
             raise BatchError(f"edge ({u}, {v}, copy=0) not present")

@@ -1,15 +1,15 @@
-"""Ladder sharding: executor routing, rung-skip filtering, query caching.
+"""Ladder sharding: the rung sweep, rung-skip filtering, query caching.
 
 The unconditional ladders (Theorems 1.1/1.2) sweep ``O(log n / eps)``
 *independent* fixed-H rungs per batch.  This module is the shared layer
 both ladder classes mix in:
 
-* **Executor routing** — every batch becomes one :class:`~repro.pram.
-  executor.RungTask` per participating rung, handed to a pluggable
-  executor (:class:`~repro.pram.executor.SerialExecutor` by default —
-  bit-identical to the historical inline loop — or
-  :class:`~repro.pram.executor.ProcessExecutor` for real parallelism
-  with merged cost/telemetry deltas).
+* **The rung sweep** — every participating rung runs as one branch of a
+  single :meth:`~repro.instrument.work_depth.CostModel.parallel` region
+  (inside a ``pram.map`` span), so the batch's work is the sum over rungs
+  and its depth the max: the PRAM parallel-for the paper analyses.
+  Execution is sequential; wall-clock parallelism is projected from
+  work/depth (DESIGN.md §2 item 1, E9).
 
 * **Rung-skip filtering** (opt-in, ``rung_skip=True``) — a rung whose
   hint ``H`` sits provably above what the graph can saturate defers its
@@ -36,45 +36,18 @@ both ladder classes mix in:
   journals touched).  A deferred-rung flush clears the caches wholesale
   (journals of intermediate replayed batches are not retained).
 
-Cost-model semantics are frozen in the default configuration: with the
-serial executor and filtering off, work/depth/counters are bit-identical
-to the pre-sharding inline loops (``repro profile --check`` holds under
-both backends).  Filtering changes the cost *because that is its point*;
-its bookkeeping is charged at O(|batch|) work, O(1) depth per dispatch.
+Cost-model semantics are frozen in the default configuration: with
+filtering off, work/depth/counters are bit-identical to the
+pre-sharding inline loops (``repro profile --check`` holds).  Filtering
+changes the cost *because that is its point*; its bookkeeping is
+charged at O(|batch|) work, O(1) depth per dispatch.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
-from ..pram.executor import RungTask, SerialExecutor
-
-
-class RungStore(list):
-    """Rung list that materialises resident-state placeholders on read.
-
-    The shared-state executor installs lazy handles (objects exposing
-    ``__materialize__``) where rung structures used to live, so steady
-    batches never pull worker-resident state back.  Every *read* of a
-    rung — queries, invariant checks, checkpoint capture, flushes —
-    resolves the handle in place; the dispatch loop uses :meth:`raw` so
-    routing a batch stays O(1) per rung regardless of residency.
-    """
-
-    def __getitem__(self, i):
-        item = list.__getitem__(self, i)
-        resolve = getattr(item, "__materialize__", None)
-        if resolve is not None:
-            item = resolve()
-            list.__setitem__(self, i, item)
-        return item
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def raw(self, i: int):
-        """The stored entry (possibly a handle), without materialising."""
-        return list.__getitem__(self, i)
+from ..instrument import trace as _trace
 
 
 class RungOps:
@@ -84,7 +57,7 @@ class RungOps:
         """Apply queued batches in arrival order (the defer-replay funnel).
 
         A single-element queue is exactly one direct batch call, so the
-        executor can route *every* update through this one entry point
+        ladder sweep can route *every* update through this one entry point
         without perturbing the cost model.
         """
         for method, edges in ops:
@@ -103,13 +76,10 @@ class RungLadder:
     #: so filtering bookkeeping is not double-charged.
     _dispatch_precharged = False
 
-    def _init_ladder(self, executor: Optional[Any], rung_skip: bool) -> None:
-        self.executor = executor if executor is not None else SerialExecutor()
+    def _init_ladder(self, rung_skip: bool) -> None:
         self.rung_skip = bool(rung_skip)
-        #: handle-aware storage for the rungs (see :class:`RungStore`).
-        self.rungs = RungStore(self.rungs)
         #: skip thresholds are pure functions of (H, B, regime) — cached at
-        #: init so the dispatch loop never has to materialise a rung.
+        #: init so the dispatch loop never recomputes them.
         self._skip_thresholds: list[int] = [
             rung.skip_threshold() for rung in self.rungs
         ]
@@ -129,10 +99,9 @@ class RungLadder:
     # -- dispatch -----------------------------------------------------------
 
     def _ladder_dispatch(self, method: str, edges: list[tuple[int, int]]) -> None:
-        """Route one batch through the executor, deferring filtered rungs."""
+        """Run one batch through every live rung, deferring filtered rungs."""
         skipped = 0
-        tasks: list[RungTask] = []
-        executed: list[int] = []
+        runs: list[tuple[int, list[tuple[str, list]]]] = []
         flushed = False
         if self.rung_skip:
             if not self._dispatch_precharged:
@@ -142,7 +111,7 @@ class RungLadder:
         if self.rung_skip and not edges:
             skipped = len(self.rungs)  # empty effective bundle: nothing to do
         else:
-            for i, H in enumerate(self.heights):
+            for i in range(len(self.heights)):
                 if (
                     self.rung_skip
                     and not self._live[i]
@@ -158,29 +127,17 @@ class RungLadder:
                     self._live[i] = True
                     flushed = True
                 ops.append((method, edges))
-                tasks.append(
-                    RungTask(
-                        # raw: a resident rung ships as its handle (ops-only)
-                        structure=self.rungs.raw(i),
-                        method="apply_ops",
-                        args=(ops,),
-                        span="ladder.rung",
-                        attrs={"H": H},
-                        install=self._rung_installer(i),
-                    )
-                )
-                executed.append(i)
+                runs.append((i, ops))
         if skipped:
             self.cm.count("ladder_rungs_skipped", skipped)
-        if tasks:
-            self.executor.run_structures(self.cm, tasks)
-        self._invalidate_queries(edges, executed, flushed)
-
-    def _rung_installer(self, i: int):
-        def install(structure: Any) -> None:
-            self.rungs[i] = structure
-
-        return install
+        if runs:
+            with _trace.span("pram.map", detail={"items": len(runs)}, backend="serial"):
+                with self.cm.parallel() as region:
+                    for i, ops in runs:
+                        with region.branch():
+                            with _trace.span("ladder.rung", H=self.heights[i]):
+                                self.rungs[i].apply_ops(ops)
+        self._invalidate_queries(edges, [i for i, _ops in runs], flushed)
 
     def _track_degrees(self, method: str, edges: list[tuple[int, int]]) -> None:
         deg = self._deg
@@ -220,7 +177,7 @@ class RungLadder:
         """Bring every deferred rung up to date (checkpoints, audits)."""
         if not self.rung_skip:
             return
-        for i in range(len(self.rungs)):  # reprolint: disable=REP-P001
+        for i in range(len(self.rungs)):
             self._flush_rung(i)
 
     # -- query cache maintenance -------------------------------------------
@@ -262,4 +219,4 @@ class RungLadder:
             self._est_cache.pop(v, None)
 
 
-__all__ = ["RungLadder", "RungOps", "RungStore"]
+__all__ = ["RungLadder", "RungOps"]

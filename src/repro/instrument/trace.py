@@ -48,7 +48,7 @@ SPAN_TAXONOMY: dict[str, str] = {
     "game.push.ranks": "rank rounds i = 1..H of a pushing phase",
     "game.push.truncated": "truncated-rank H+1 round (transparent tokens)",
     "game.push.settle": "delete settlement (absorbed tokens decrement)",
-    "pram.map": "executor sweep over independent structures (attr: backend)",
+    "pram.map": "parallel-for over independent structures (attr: backend)",
     "recovery.apply": "RecoveryManager.apply of one batch",
     "verify.diff": "one differential replay across the config panel",
     "verify.config": "one config's share of a differential batch (attr: config)",

@@ -1,7 +1,6 @@
-"""Simulated-PRAM primitives, sorting, and execution backends."""
+"""Simulated-PRAM primitives and sorting."""
 
 from .connectivity import connected_components
-from .executor import ProcessExecutor, RungTask, SerialExecutor, WorkerDelta
 from .primitives import (
     arbitrary_winners,
     pack,
@@ -14,10 +13,6 @@ from .primitives import (
 from .sorting import parallel_sort
 
 __all__ = [
-    "ProcessExecutor",
-    "RungTask",
-    "SerialExecutor",
-    "WorkerDelta",
     "arbitrary_winners",
     "connected_components",
     "pack",

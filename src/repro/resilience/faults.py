@@ -2,10 +2,9 @@
 
 The dynamic structures' hot paths are instrumented with *injection sites*
 (the :data:`SITES` catalogue): one guarded call per token-game phase,
-settlement, bundle extraction, hash-table batch operation and pooled
-rung task.  While no injector is armed the instrumentation is a single
-module-global ``is None`` check — measurably free (benchmark E20 times
-it).
+settlement, bundle extraction and hash-table batch operation.  While no
+injector is armed the instrumentation is a single module-global
+``is None`` check — measurably free (benchmark E20 times it).
 
 Arming an injector makes every site traversal count a *hit*; a
 :class:`FaultSpec` names a site, a 1-based hit number, and an action:
@@ -45,7 +44,6 @@ SITES: frozenset[str] = frozenset(
         "bundles.partition",  # deletion-token partitioning
         "hashtable.batch_set",  # BatchHashTable.batch_set
         "hashtable.batch_delete",  # BatchHashTable.batch_delete
-        "pram.worker",  # a pool worker picking up a rung task (raise = it dies)
     }
 )
 

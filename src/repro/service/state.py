@@ -142,6 +142,7 @@ class TenantShard:
         self.directory = pathlib.Path(directory)
         self.config = config
         self.checkpoint_every = max(1, checkpoint_every)
+        self.sync = sync
         self.registry = registry
         self.cm = CostModel()
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -175,7 +176,9 @@ class TenantShard:
                     "immutable once created"
                 )
             return
-        _atomic_write(path, json.dumps(self.config.to_json(), sort_keys=True))
+        _atomic_write(
+            path, json.dumps(self.config.to_json(), sort_keys=True), self.sync
+        )
 
     def _load_wal(self) -> list[BatchOp]:
         """Tolerant WAL read; physically drops a torn tail before resume."""
@@ -380,7 +383,9 @@ class TenantShard:
                 for kind, manager in self.managers.items()
             },
         }
-        _atomic_write(self.directory / CHECKPOINT_NAME, json.dumps(payload))
+        _atomic_write(
+            self.directory / CHECKPOINT_NAME, json.dumps(payload), self.sync
+        )
 
     def close(self, seal: bool = True) -> None:
         """Checkpoint and seal the WAL (graceful shutdown); idempotent.
@@ -405,11 +410,28 @@ class TenantShard:
         return self.accepted - self.applied
 
 
-def _atomic_write(path: pathlib.Path, text: str) -> None:
-    """Write-then-rename so readers never observe a torn file."""
+def _atomic_write(path: pathlib.Path, text: str, sync: bool = False) -> None:
+    """Write-then-rename so readers never observe a torn file.
+
+    ``sync=True`` also makes the rename durable: the temp file is fsynced
+    before ``os.replace`` and the parent directory after it, so a power
+    loss leaves the old file or the complete new one, never an empty one.
+    """
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    if not sync:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+        return
+    with open(tmp, "w") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def discover_tenants(data_dir: str | pathlib.Path) -> list[str]:

@@ -1,4 +1,4 @@
-"""REP-P001: rung sweeps must route through the executor protocol."""
+"""REP-P002: per-edge hot loops must not allocate a Python object per edge."""
 
 from __future__ import annotations
 
@@ -10,79 +10,6 @@ from repro.analysis import lint_source
 def rules_of(source: str, cost_scope: bool = True) -> set[str]:
     return {f.rule for f in lint_source(textwrap.dedent(source), cost_scope=cost_scope)}
 
-
-VIOLATING = """
-    def insert_batch(self, edges):
-        '''Insert.'''
-        self.cm.charge(work=len(edges), depth=1)
-        for rung in self.rungs:
-            rung.insert_batch(edges)
-"""
-
-
-def test_p001_fires_on_direct_rung_batch_loop():
-    assert "REP-P001" in rules_of(VIOLATING)
-
-
-def test_p001_fires_on_index_loop_over_rungs():
-    violating = """
-        def delete_batch(self, edges):
-            '''Delete.'''
-            self.cm.charge(work=len(edges), depth=1)
-            for i in range(len(self.rungs)):
-                self.rungs[i].delete_batch(edges)
-    """
-    assert "REP-P001" in rules_of(violating)
-
-
-def test_p001_fires_on_apply_ops_replay():
-    violating = """
-        def replay(self, ops):
-            '''Replay.'''
-            self.cm.tick()
-            for rung in self.rungs:
-                rung.apply_ops(ops)
-    """
-    assert "REP-P001" in rules_of(violating)
-
-
-def test_p001_silent_on_read_only_sweep():
-    clean = """
-        def check_invariants(self):
-            '''Audit.'''
-            for rung in self.rungs:
-                rung.check_invariants()
-    """
-    assert "REP-P001" not in rules_of(clean)
-
-
-def test_p001_silent_on_task_building_loop():
-    clean = """
-        def dispatch(self, method, edges):
-            '''Dispatch through the executor.'''
-            self.cm.charge(work=len(edges), depth=1)
-            tasks = [
-                RungTask(structure=rung, method=method, args=(edges,))
-                for rung in self.rungs
-            ]
-            self.executor.run_structures(self.cm, tasks)
-    """
-    assert "REP-P001" not in rules_of(clean)
-
-
-def test_p001_respects_suppression():
-    suppressed = """
-        def flush_all_pending(self):
-            '''Materialise deferred rungs for a checkpoint.'''
-            self.cm.tick()
-            for i in range(len(self.rungs)):  # reprolint: disable=REP-P001
-                self.rungs[i].apply_ops(self.pending[i])
-    """
-    assert "REP-P001" not in rules_of(suppressed)
-
-
-def test_p001_silent_outside_cost_scope():
-    assert "REP-P001" not in rules_of(VIOLATING, cost_scope=False)
 
 # -- REP-P002: per-edge Python-object allocation ------------------------------
 

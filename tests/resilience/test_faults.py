@@ -23,7 +23,7 @@ class TestFaultSpec:
 
     def test_catalogue_covers_all_layers(self):
         prefixes = {site.split(".")[0] for site in SITES}
-        assert prefixes == {"tokens", "bundles", "hashtable", "pram"}
+        assert prefixes == {"tokens", "bundles", "hashtable"}
 
 
 class TestInjector:

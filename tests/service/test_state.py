@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.graphs.streams import BatchOp
 from repro.instrument.work_depth import CostModel
 from repro.service.state import (
     CHECKPOINT_NAME,
+    META_NAME,
     TenantConfig,
     TenantShard,
     WAL_NAME,
@@ -203,6 +206,33 @@ class TestRecovery:
             dict(reopened.snapshot.coreness),
             reopened.snapshot.density,
         ) == oracle[len(batches)]
+
+
+class TestAtomicWriteDurability:
+    @pytest.mark.parametrize("sync", [True, False])
+    def test_meta_and_checkpoint_fsync_only_under_sync(
+        self, tmp_path, monkeypatch, sync
+    ):
+        """``sync=True``: each atomic write fsyncs its temp file, then the
+        directory; without it the writes issue no fsync at all."""
+        kinds: list[str] = []
+        real_fsync = os.fsync
+
+        def spy(fd: int) -> None:
+            kinds.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        shard = TenantShard("t", tmp_path / "t", CFG, sync=sync)  # meta.json
+        shard.write_checkpoint()
+        assert kinds == (["file", "dir"] * 2 if sync else [])
+        shard.close(seal=False)
+        directory = tmp_path / "t"
+        meta = json.loads((directory / META_NAME).read_text())
+        assert TenantConfig.from_json(meta) == CFG
+        checkpoint = json.loads((directory / CHECKPOINT_NAME).read_text())
+        assert checkpoint["position"] == 0
+        assert not list(directory.glob("*.tmp"))
 
 
 class TestModesAndDiscovery:
