@@ -1,21 +1,16 @@
-"""E22 — ladder sharding: the rung sweep and rung-skip filtering.
+"""E22 — ladder sharding: the rung sweep.
 
 The ladder's rungs are independent (that independence *is* Theorems
 1.1/1.2's parallelism), so each batch runs every rung as one branch of a
 single parallel region (docs/PERFORMANCE.md).  This experiment drives a
 skewed stream — a planted dense block that saturates the low rungs plus a
-sparse periphery that leaves the tall rungs untouched — through two
-configurations:
-
-* **serial** — the default sweep; the baseline.  Its parallel speedup
-  is the Brent projection of its work/depth.
-* **skip** — rung-skip filtering; tall rungs whose hint sits above the
-  degree bound defer updates, cutting *model work* without changing any
-  answer (asserted below).
+sparse periphery that leaves the tall rungs untouched — through the
+**serial** sweep and reports its work, depth and the Brent projection of
+its parallel speedup.
 
 Absolute wall-clock numbers are hardware-noisy; the reproduction targets
-are the invariants (answer-preservation) and the work/skip shapes.
-``REPRO_E22_TINY=1`` shrinks the trace for CI smoke runs.
+are the work/depth shapes.  ``REPRO_E22_TINY=1`` shrinks the trace for CI
+smoke runs.
 """
 
 from __future__ import annotations
@@ -50,8 +45,8 @@ def _trace():
     return streams.insert_then_delete(edges, BATCH, seed=22)
 
 
-def measure(rung_skip: bool = False, traced: bool = False):
-    """Drive both ladders through one configuration; return the observables.
+def measure(traced: bool = False):
+    """Drive both ladders through the stream; return the observables.
 
     ``traced=True`` arms a phase tracer (telemetry never perturbs the
     cost model, so a traced run stays bit-comparable) and returns the
@@ -59,12 +54,8 @@ def measure(rung_skip: bool = False, traced: bool = False):
     """
     ops = _trace()
     cm = CostModel()
-    core = CorenessDecomposition(
-        N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22, rung_skip=rung_skip,
-    )
-    dens = DensityEstimator(
-        N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22, rung_skip=rung_skip,
-    )
+    core = CorenessDecomposition(N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22)
+    dens = DensityEstimator(N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22)
     timer = BatchTimer(cm)
     tracer = Tracer(cm) if traced else None
     ctx = trace.tracing(tracer) if traced else _null()
@@ -83,8 +74,6 @@ def measure(rung_skip: bool = False, traced: bool = False):
     return {
         "work": cm.work,
         "depth": cm.depth,
-        "counters": dict(cm.counters),
-        "skipped": cm.counters.get("ladder_rungs_skipped", 0),
         "wall": wall,
         "answers": answers,
         "series": timer.series,
@@ -98,83 +87,50 @@ def _null():
     return contextlib.nullcontext()
 
 
-CONFIGS = [
-    ("serial", dict(rung_skip=False, traced=True)),
-    ("skip", dict(rung_skip=True)),
-]
-
-
 def run_experiment() -> Experiment:
-    runs = {name: measure(**kw) for name, kw in CONFIGS}
-    base = runs["serial"]
-    rows = []
-    for name, _ in CONFIGS:
-        r = runs[name]
-        t16 = project(r["work"], r["depth"], [P])[0].time_upper
-        rows.append(
-            (
-                name,
-                r["work"],
-                f"{r['work'] / base['work']:.2f}x",
-                r["depth"],
-                r["skipped"],
-                f"{parallelism(r['work'], r['depth']):.1f}",
-                f"{t16:.0f}",
-                f"{r['wall']:.2f}s",
-            )
-        )
+    run = measure(traced=True)
+    t16 = project(run["work"], run["depth"], [P])[0].time_upper
     table = render_table(
-        ["config", "model work", "vs serial", "depth", "rungs skipped",
-         "W/D", f"Brent T_{P} (<=)", "wall"],
-        rows,
-    )
-    assert base["answers"] == runs["skip"]["answers"], (
-        "rung-skip must not change any query answer"
+        ["config", "model work", "depth", "W/D", f"Brent T_{P} (<=)", "wall"],
+        [
+            (
+                "serial",
+                run["work"],
+                run["depth"],
+                f"{parallelism(run['work'], run['depth']):.1f}",
+                f"{t16:.0f}",
+                f"{run['wall']:.2f}s",
+            )
+        ],
     )
     write_bench(
         "e22_ladder_scaling",
-        base["series"],
-        tree=base["tree"],
+        run["series"],
+        tree=run["tree"],
         extra={
             "configs": {
-                name: {
-                    "work": runs[name]["work"],
-                    "depth": runs[name]["depth"],
-                    "rungs_skipped": runs[name]["skipped"],
-                    "wall_seconds": runs[name]["wall"],
-                }
-                for name, _ in CONFIGS
+                "serial": {
+                    "work": run["work"],
+                    "depth": run["depth"],
+                    "wall_seconds": run["wall"],
+                },
             },
         },
     )
-    saved = 1.0 - runs["skip"]["work"] / base["work"]
     return Experiment(
         exp_id="E22",
-        title="ladder sharding — the rung sweep, rung-skip",
+        title="ladder sharding — the rung sweep",
         claim=(
             "the ladder's rungs are independent, so one rung sweep is a "
-            "parallel-for whose depth is the deepest rung's, and "
-            "provably-unaffected rungs can be skipped without changing "
-            "any answer"
+            "parallel-for whose depth is the deepest rung's"
         ),
         table=table,
         conclusion=(
-            f"the Brent bound projects the sweep's W/D parallelism from "
-            f"the serial run's work and depth.  Rung-skip filtering removes "
-            f"{100 * saved:.0f}% of the model work on this skewed trace "
-            f"({runs['skip']['skipped']} rung-batches deferred) with "
-            f"byte-identical query answers (asserted) — the filtering is "
-            f"pure savings, not approximation."
+            "the Brent bound projects the sweep's W/D parallelism from "
+            "the serial run's work and depth; every rung runs every batch, "
+            "so no batch pays for an earlier one."
         ),
     )
-
-
-def test_e22_skip_reduces_work_and_preserves_answers():
-    plain = measure()
-    skip = measure(rung_skip=True)
-    assert skip["work"] < plain["work"]
-    assert skip["skipped"] > 0
-    assert skip["answers"] == plain["answers"]
 
 
 def test_e22_wallclock(benchmark):

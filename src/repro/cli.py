@@ -115,26 +115,19 @@ def cmd_generate(args) -> int:
 
 
 def _build_structures(args, n: int, cm: CostModel) -> list[tuple[str, object]]:
-    rung_skip = bool(getattr(args, "rung_skip", False))
     structures: list[tuple[str, object]] = []
     if args.mode in ("coreness", "both"):
         structures.append(
             (
                 "coreness",
-                CorenessDecomposition(
-                    n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    rung_skip=rung_skip,
-                ),
+                CorenessDecomposition(n, eps=args.eps, cm=cm, constants=CONSTANTS),
             )
         )
     if args.mode in ("density", "both"):
         structures.append(
             (
                 "density",
-                DensityEstimator(
-                    n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    rung_skip=rung_skip,
-                ),
+                DensityEstimator(n, eps=args.eps, cm=cm, constants=CONSTANTS),
             )
         )
     if not structures:
@@ -704,7 +697,6 @@ def cmd_verify(args) -> int:
         H=args.height,
         constants=CONSTANTS,
         deep_every=args.deep_every,
-        rung_skip=args.rung_skip,
     )
     print(report.render())
     return 0 if report.ok else 1
@@ -798,12 +790,6 @@ def cmd_verify_diff(args) -> int:
     return 1
 
 
-def _add_rung_skip(sub: argparse.ArgumentParser) -> None:
-    """The ``--rung-skip`` flag shared by ``run``, ``profile`` and ``verify``."""
-    sub.add_argument("--rung-skip", action="store_true",
-                     help="defer provably-unaffected ladder rungs (perf opt)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser with all subcommands attached."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
@@ -843,7 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--metrics-linger", type=float, default=0.0, metavar="SEC",
                    help="keep the --serve-metrics server up SEC seconds "
                         "after the replay so scrapers can still reach it")
-    _add_rung_skip(r)
     r.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
@@ -864,7 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump the metrics registry as Prometheus text")
     p.add_argument("--check", action="store_true",
                    help="replay disarmed too; fail on any work/depth/counter drift")
-    _add_rung_skip(p)
     p.set_defaults(func=cmd_profile)
 
     e = sub.add_parser("exact", help="exact offline measures of a trace's final graph")
@@ -881,7 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--replay", metavar="ARTIFACT",
                    help="re-run a minimized repro artifact; exit 0 iff it "
                         "still reproduces the recorded failure")
-    _add_rung_skip(v)
     v.set_defaults(func=cmd_verify)
     v_sub = v.add_subparsers(dest="verify_cmd")
     d = v_sub.add_parser(
@@ -901,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="audit the baseline vs the exact oracles every N batches")
     d.add_argument("--configs", metavar="A,B,...",
                    help="comma-separated panel (default: serial, telemetry, "
-                        "rung-skip, chaos-recovered)")
+                        "chaos-recovered)")
     d.add_argument("--inject", metavar="SITE[:HIT[:ACTION]]",
                    help="add an un-recovered fault-injected config (the "
                         "harness must catch and shrink it)")

@@ -44,7 +44,6 @@ from ..errors import BatchError, InvariantViolation
 from ..graphs.graph import Edge, norm_edge
 from ..instrument import trace as _trace
 from ..instrument.work_depth import CostModel
-from ..resilience.guard import Transactional
 from .inindex import InIndex
 from .levels import is_h_balanced_edge, levkey
 from .outset import OutSet
@@ -53,7 +52,7 @@ from .outset import OutSet
 ArcKey = tuple[int, int]
 
 
-class BalancedOrientation(Transactional):
+class BalancedOrientation:
     """Deterministic batch-dynamic H-balanced orientation.
 
     An arc's filing state is its truncated rank (``tr_of``) and its tail's

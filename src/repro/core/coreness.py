@@ -10,10 +10,9 @@ rung whose estimate drops below its hint.  The sandwich
 gives the ``4 + eps``-approximation
 ``core_ALG(v) in [(1/2 - eps) core(v), (2 + eps) core(v)]`` w.h.p.
 
-Rung sweeps run as one parallel region and optionally skip
-provably-unaffected rungs; queries binary-search the saturation-monotone
-ladder and memoise per vertex (see :mod:`repro.core.ladder` and
-docs/PERFORMANCE.md).
+Every rung runs every batch as one parallel region; queries
+binary-search the saturation-monotone ladder and memoise per vertex
+(see :mod:`repro.core.ladder` and docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -22,16 +21,12 @@ from typing import Iterable, Optional, Sequence
 
 from ..config import DEFAULT_CONSTANTS, Constants, check_eps, ladder_heights
 from ..instrument.work_depth import CostModel
-from ..resilience.guard import Transactional
 from .coreness_fixed import FixedHCorenessEstimator
 from .ladder import RungLadder
 
 
-class CorenessDecomposition(RungLadder, Transactional):
+class CorenessDecomposition(RungLadder):
     """Batch-dynamic ``(4 + eps)``-approximate coreness for all vertices."""
-
-    # insert/delete_batch charge the O(|batch|) dispatch themselves.
-    _dispatch_precharged = True
 
     def __init__(
         self,
@@ -41,7 +36,6 @@ class CorenessDecomposition(RungLadder, Transactional):
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
         h_max: Optional[int] = None,
-        rung_skip: bool = False,
     ) -> None:
         self.n = n
         self.eps = check_eps(eps)
@@ -57,7 +51,7 @@ class CorenessDecomposition(RungLadder, Transactional):
             for i, H in enumerate(self.heights)
         ]
         self._touched: set[int] = set()
-        self._init_ladder(rung_skip)
+        self._init_ladder()
 
     # -- updates (the rungs are independent — the parallel ladder) -------------
 
@@ -86,10 +80,8 @@ class CorenessDecomposition(RungLadder, Transactional):
     # -- queries ---------------------------------------------------------------
 
     def _rung_unsaturated(self, i: int, v: int) -> bool:
-        """Is rung ``i`` unsaturated at ``v``?  Deferred rungs provably are."""
+        """Is rung ``i`` unsaturated at ``v``?"""
         self.cm.tick()  # one rung probe (queries are charged per probe)
-        if self.rung_skip and not self._live[i]:
-            return True
         return self.rungs[i].estimate(v) < self.heights[i]
 
     def _compute_estimate(self, v: int) -> float:

@@ -29,11 +29,10 @@ from ..config import DEFAULT_CONSTANTS, Constants, check_eps, check_height
 from ..instrument.work_depth import CostModel
 from .balanced import BalancedOrientation
 from .duplicated import DuplicatedBalanced
-from .ladder import RungOps
 from .sampling import EdgeSampler
 
 
-class FixedHCorenessEstimator(RungOps):
+class FixedHCorenessEstimator:
     """Theorem 5.1's data structure for one height hint ``H``."""
 
     def __init__(
@@ -107,18 +106,6 @@ class FixedHCorenessEstimator(RungOps):
     def saturated(self, v: int) -> bool:
         """True when ``f(v) >= H`` (only a lower bound on core(v) is known)."""
         return self.estimate(v) >= self.H
-
-    def skip_threshold(self) -> int:
-        """Max-degree bound below which this rung is provably unsaturated.
-
-        Duplication: ``f(v) = d+(v)/K <= deg(v)`` (each of the K copies
-        contributes at most one out-arc per incident edge), so every
-        estimate stays below ``H`` while the max degree does.  Sampling:
-        ``f(v) = (H/B) d+(v) <= (H/B) deg(v) < H`` iff ``deg(v) < B``.
-        A batch arriving while the ladder's running degree bound sits
-        under this threshold cannot change any query answer.
-        """
-        return self.H if self.regime == "duplication" else self.B
 
     def journal_vertices(self) -> set[int]:
         """Vertices whose out-degree the last batch may have changed.

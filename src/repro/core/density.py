@@ -9,10 +9,9 @@ and exports that rung's orientation, in which every out-degree is at most
 ``(2 + eps) rho(G)``.  The arboricity estimate is ``lambda_ALG = 2 rho_ALG``
 (Nash-Williams sandwiches ``rho <= lambda <= 2 rho``).
 
-Rung sweeps run as one parallel region and optionally skip
-provably-"low" rungs; the first-"low" query binary-searches the
-verdict-monotone ladder and memoises its index (see
-:mod:`repro.core.ladder` and docs/PERFORMANCE.md).
+Every rung runs every batch as one parallel region; the first-"low"
+query binary-searches the verdict-monotone ladder and memoises its
+index (see :mod:`repro.core.ladder` and docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -22,12 +21,11 @@ from typing import Iterable, Optional
 from ..config import DEFAULT_CONSTANTS, Constants, check_eps, ladder_heights
 from ..errors import InvariantViolation
 from ..instrument.work_depth import CostModel
-from ..resilience.guard import Transactional
 from .density_fixed import FixedHDensityGuard
 from .ladder import RungLadder
 
 
-class DensityEstimator(RungLadder, Transactional):
+class DensityEstimator(RungLadder):
     """Batch-dynamic ``(1 + eps)`` density estimate + low out-degree orientation."""
 
     def __init__(
@@ -38,7 +36,6 @@ class DensityEstimator(RungLadder, Transactional):
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
         h_max: Optional[int] = None,
-        rung_skip: bool = False,
     ) -> None:
         self.n = n
         self.eps = check_eps(eps)
@@ -53,7 +50,7 @@ class DensityEstimator(RungLadder, Transactional):
             )
             for i, H in enumerate(self.heights)
         ]
-        self._init_ladder(rung_skip)
+        self._init_ladder()
 
     # -- updates ------------------------------------------------------------------
 
@@ -74,10 +71,8 @@ class DensityEstimator(RungLadder, Transactional):
     # -- queries --------------------------------------------------------------------
 
     def _rung_low(self, i: int) -> bool:
-        """Rung ``i``'s verdict; deferred rungs are provably "low"."""
+        """Rung ``i``'s verdict."""
         self.cm.tick()  # one verdict probe (queries are charged per probe)
-        if self.rung_skip and not self._live[i]:
-            return True
         return self.rungs[i].guarantees_low()
 
     def _first_low(self) -> int:
@@ -86,9 +81,7 @@ class DensityEstimator(RungLadder, Transactional):
         The verdict is monotone up the ladder — a rung certifying
         ``rho <= (1+eps) H`` implies every taller hint certifies too —
         so the first-"low" scan is a predicate flip found with O(log
-        #rungs) verdict probes.  The winning rung is materialised (its
-        deferred queue flushed) because callers read its concrete
-        orientation; rungs above and below keep their savings.
+        #rungs) verdict probes.
         """
         if self._fl_cache is None:
             hi = len(self.rungs) - 1
@@ -105,11 +98,7 @@ class DensityEstimator(RungLadder, Transactional):
                 else:
                     lo = mid + 1
             self._fl_cache = lo
-        k = self._fl_cache
-        if self.rung_skip and not self._live[k]:
-            self._flush_rung(k)  # still "low": its skip certificate held throughout
-            self._fl_cache = k  # _flush_rung clears the caches; the index stands
-        return k
+        return self._fl_cache
 
     def density_estimate(self) -> float:
         """``rho_ALG`` (the first 'low' rung's height)."""

@@ -35,12 +35,11 @@ from ..instrument import trace as _trace
 from ..instrument.work_depth import CostModel
 from .balanced import BalancedOrientation
 from .duplicated import DuplicatedBalanced
-from .ladder import RungOps
 
 Verdict = Literal["low", "high"]
 
 
-class FixedHDensityGuard(RungOps):
+class FixedHDensityGuard:
     """Theorem 5.2's data structure for one height hint ``H``."""
 
     def __init__(
@@ -158,17 +157,6 @@ class FixedHDensityGuard(RungOps):
 
     def guarantees_low(self) -> bool:
         return self.verdict() == "low"
-
-    def skip_threshold(self) -> int:
-        """Max-degree bound below which the verdict is provably "low".
-
-        Duplication: the inner multigraph out-degree of ``v`` is at most
-        ``K deg(v) < K H`` while the max degree stays below ``H``.
-        Buckets: each bucket's out-degree at ``v`` is bounded by ``v``'s
-        degree inside the bucket, below ``B`` while the max degree is.
-        A batch arriving under this threshold cannot flip the verdict.
-        """
-        return self.H if self.regime == "duplication" else self.B
 
     # -- exported orientation (valid when verdict() == "low") ---------------------------
 

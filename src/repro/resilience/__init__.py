@@ -6,9 +6,8 @@ Four layers (docs/ROBUSTNESS.md has the full failure model):
   with named injection sites instrumented into the hot paths (token games,
   bundle extraction, hash-table batch ops).  Zero overhead while disarmed.
 * :mod:`~repro.resilience.guard` — transactional batch application: a
-  ``guarded`` context manager plus the ``Transactional`` mixin that makes
-  every structure's batch apply-fully-or-rollback (strong exception
-  safety).
+  ``guarded`` context manager that makes a structure's batch
+  apply-fully-or-rollback (strong exception safety).
 * :mod:`~repro.resilience.checkpoint` — logical checkpoints (JSON-able)
   for the full ladder structures, extending ``core/snapshot.py`` beyond
   the single orientation, so restart = restore + replay the trace suffix.
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from . import faults
 from .faults import SITES, FaultInjector, FaultSpec, injecting
-from .guard import Transactional, capture, guarded, rollback
+from .guard import capture, guarded, rollback
 
 _LAZY = {
     "checkpoint": ".checkpoint",
@@ -44,7 +43,6 @@ __all__ = [
     "SITES",
     "FaultInjector",
     "FaultSpec",
-    "Transactional",
     "capture",
     "faults",
     "guarded",

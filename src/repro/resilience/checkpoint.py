@@ -11,8 +11,8 @@ inner orientation through the audited ``_arc_add`` funnel.
 
 Together with the write-ahead trace log
 (:class:`~repro.graphs.tracefile.TraceWriter`), restart becomes
-*restore checkpoint + replay the trace suffix*; the
-:class:`~repro.resilience.recovery.RecoveryManager` packages both.
+*restore checkpoint + replay the trace suffix*; the service's
+:class:`~repro.service.state.TenantShard` packages both.
 
 All malformed-payload errors surface as :class:`~repro.errors.BatchError`
 or :class:`~repro.errors.ParameterError` with a clear message, matching
@@ -87,11 +87,6 @@ def checkpoint(st: Any) -> dict[str, Any]:
         }
     if isinstance(st, (CorenessDecomposition, DensityEstimator)):
         kind = "coreness" if isinstance(st, CorenessDecomposition) else "density"
-        # Deferred rungs (rung-skip filtering) are brought up to date first:
-        # the payload schema stays purely logical (per-rung arcs + levels),
-        # and a restored ladder — which always comes up serial with
-        # filtering off — needs no queue state.  No-op when skip is off.
-        st.flush_all_pending()
         payload: dict[str, Any] = {
             "type": kind,
             "n": st.n,
@@ -154,20 +149,21 @@ def restore_checkpoint(payload: dict[str, Any], cm: Optional[CostModel] = None) 
         constants = Constants(**dict(payload["constants"]))
     except TypeError as exc:
         raise BatchError(f"checkpoint constants are malformed: {exc}") from exc
+    h_max = payload.get("h_max")
+    try:
+        n, eps, seed = int(payload["n"]), float(payload["eps"]), int(payload["seed"])
+        h_max = None if h_max is None else int(h_max)
+    except (TypeError, ValueError) as exc:
+        raise BatchError(f"checkpoint parameters are malformed: {exc}") from exc
 
     from ..core.coreness import CorenessDecomposition
     from ..core.density import DensityEstimator
 
     cls = CorenessDecomposition if kind == "coreness" else DensityEstimator
-    st = cls(
-        int(payload["n"]),
-        eps=float(payload["eps"]),
-        cm=cm,
-        constants=constants,
-        seed=int(payload["seed"]),
-        h_max=payload.get("h_max"),
-    )
+    st = cls(n, eps=eps, cm=cm, constants=constants, seed=seed, h_max=h_max)
     rungs = payload["rungs"]
+    if not isinstance(rungs, list):
+        raise BatchError("checkpoint 'rungs' must be a list")
     if len(rungs) != len(st.rungs):
         raise BatchError(
             f"checkpoint has {len(rungs)} rungs but the ladder rebuilt with "
@@ -176,7 +172,10 @@ def restore_checkpoint(payload: dict[str, Any], cm: Optional[CostModel] = None) 
     for rung, state in zip(st.rungs, rungs):
         _load_rung_state(rung, state)
     if kind == "coreness":
-        st._touched = {int(v) for v in payload.get("touched", [])}
+        try:
+            st._touched = {int(v) for v in payload.get("touched", [])}
+        except (TypeError, ValueError) as exc:
+            raise BatchError(f"checkpoint 'touched' is malformed: {exc}") from exc
     st.check_invariants()
     return st
 

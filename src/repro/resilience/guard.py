@@ -1,4 +1,4 @@
-"""Transactional batch application — strong exception safety for batches.
+"""Atomic batch application — strong exception safety for batches.
 
 A batch that dies half-way through a token game leaves ``BALANCED(H)``
 with frozen levels, leftover vertex labels and a half-flipped arc set.
@@ -9,17 +9,12 @@ in place from the snapshot through the same audited ``_arc_add`` funnel
 the ordinary restore path uses.  After a rollback the structure is
 logically identical to its pre-batch state and ``check_invariants()``
 passes; the exception is then re-raised for the caller (typically the
-:class:`~repro.resilience.recovery.RecoveryManager`) to handle.
+:class:`~repro.resilience.recovery.RecoveryManager`) to handle.  The raw
+batch methods carry no envelope, so callers opt into atomicity per batch.
 
-:class:`Transactional` is the mixin the public structures inherit
-(``BalancedOrientation``, ``CorenessDecomposition``, ``DensityEstimator``);
-it exposes ``guarded_insert_batch`` / ``guarded_delete_batch`` /
-``guarded_update_batch`` so callers opt into atomicity per call — the raw
-batch methods stay exactly as fast as before.
-
-This module deliberately imports nothing from :mod:`repro.core` at module
-scope (core imports *it* for the mixin); :func:`capture` and
-:func:`rollback` dispatch on structural attributes instead of types:
+This module deliberately imports nothing from :mod:`repro.core`;
+:func:`capture` and :func:`rollback` dispatch on structural attributes
+instead of types:
 
 ========================  =========================================
 attribute fingerprint     structure
@@ -79,23 +74,11 @@ def capture(st: Any) -> Snapshot:
             "inner": capture(st.dup if st.dup is not None else st.bal),
         }
     if hasattr(st, "rungs"):  # CorenessDecomposition / DensityEstimator
-        snap: Snapshot = {
+        return {
             "kind": "ladder",
             "rungs": [capture(rung) for rung in st.rungs],
             "touched": set(st._touched) if hasattr(st, "_touched") else None,
         }
-        if hasattr(st, "_pending"):
-            # rung-skip filtering state: a rolled-back batch must also undo
-            # what it queued on deferred rungs and its degree bookkeeping
-            # (the degree bound stays a sound certificate either way, but
-            # exact restore keeps skip decisions replay-identical).
-            snap["skip"] = {
-                "pending": [list(queue) for queue in st._pending],
-                "live": list(st._live),
-                "deg": dict(st._deg),
-                "deg_bound": st._deg_bound,
-            }
-        return snap
     if hasattr(st, "guard"):  # LowOutDegree
         return {
             "kind": "lowoutdegree",
@@ -134,15 +117,8 @@ def rollback(st: Any, snap: Snapshot) -> None:
             rollback(rung, rung_snap)
         if snap["touched"] is not None:
             st._touched = set(snap["touched"])
-        skip = snap.get("skip")
-        if skip is not None:
-            st._pending = [list(queue) for queue in skip["pending"]]
-            st._live = list(skip["live"])
-            st._deg = dict(skip["deg"])
-            st._deg_bound = skip["deg_bound"]
-        if hasattr(st, "_reset_query_caches"):
-            # memoised answers may describe the failed batch's state
-            st._reset_query_caches()
+        # memoised answers may describe the failed batch's state
+        st._reset_query_caches()
     elif kind == "lowoutdegree":
         rollback(st.guard, snap["guard"])
         st._tail = dict(snap["tail"])
@@ -208,24 +184,3 @@ def guarded(st: Any) -> Iterator[Snapshot]:
             cm.count("guard_rollbacks")
         raise
 
-
-class Transactional:
-    """Mixin adding strongly exception-safe batch entry points.
-
-    The raw ``insert_batch`` / ``delete_batch`` methods keep their cost
-    profile; these wrappers add the snapshot/rollback envelope for callers
-    that need the all-or-nothing guarantee (services, the recovery
-    manager, the chaos harness).
-    """
-
-    def guarded_insert_batch(self, edges) -> None:
-        with guarded(self):
-            self.insert_batch(edges)
-
-    def guarded_delete_batch(self, edges) -> None:
-        with guarded(self):
-            self.delete_batch(edges)
-
-    def guarded_update_batch(self, insertions=(), deletions=()) -> None:
-        with guarded(self):
-            self.update_batch(insertions=insertions, deletions=deletions)

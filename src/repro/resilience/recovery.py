@@ -26,16 +26,14 @@ and counted on the cost model, and silent corruption (a fault that
 *mutated* rather than raised) is caught by a post-commit health audit
 that triggers the same tier-2/tier-3 repair.
 
-``save``/``load`` extend the same machinery across restarts: ``save``
-writes a full-ladder checkpoint (``resilience/checkpoint.py``) next to a
-sealed write-ahead trace log, and ``load`` restores the checkpoint and
-replays the trace suffix.
+Restarts across processes are the service's job:
+:class:`~repro.service.state.TenantShard` restores a full-ladder
+checkpoint (``resilience/checkpoint.py``) and replays its write-ahead
+log's suffix through one manager per ladder.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import Any, Optional
 
 from ..core.balanced import BalancedOrientation
@@ -43,10 +41,8 @@ from ..verify.audits import AuditReport, audit_orientation
 from ..errors import BatchError, RecoveryError
 from ..graphs.graph import DynamicGraph, normalize_batch
 from ..graphs.streams import BatchOp
-from ..graphs.tracefile import TraceWriter, iter_trace
 from ..instrument import trace as _trace
 from ..instrument.metrics import RecoveryStats
-from . import checkpoint as ckpt
 from .guard import capture, guarded, rollback
 
 
@@ -62,7 +58,6 @@ class RecoveryManager:
         max_recovery_rounds: int = 3,
         max_rebuild_attempts: int = 3,
         rebuild_chunk: int = 128,
-        wal_path: Optional[str | pathlib.Path] = None,
         graph: Optional[DynamicGraph] = None,
         history: Optional[list[BatchOp]] = None,
         bounded_history: bool = False,
@@ -81,7 +76,6 @@ class RecoveryManager:
         self.max_rebuild_attempts = max(1, max_rebuild_attempts)
         self.rebuild_chunk = max(1, rebuild_chunk)
         self.stats = RecoveryStats()
-        self.writer = TraceWriter(wal_path) if wal_path is not None else None
         self._ckpt = capture(structure)
         self._ckpt_pos = self.applied
         if not self.healthy():
@@ -130,16 +124,11 @@ class RecoveryManager:
             if self.bounded_history:
                 # Tier 2 only ever replays the post-checkpoint suffix, so
                 # everything up to the checkpoint can be forgotten — this is
-                # what keeps out-of-core replays (E23) at window-sized memory.
-                # The trade-off: ``save()`` needs the full history for its
-                # WAL and refuses once trimmed.
+                # what keeps out-of-core replays (E23) and service tenants
+                # at window-sized memory.  Only callers that read the full
+                # ``history`` afterwards (the chaos harness) keep it whole.
                 self.history.clear()
         return outcome
-
-    def close(self) -> None:
-        """Seal the write-ahead log, if any."""
-        if self.writer is not None:
-            self.writer.close()
 
     # -- health ------------------------------------------------------------------
 
@@ -201,8 +190,6 @@ class RecoveryManager:
             self.graph.delete_batch(op.edges)
         self.history.append(op)
         self.applied += 1
-        if self.writer is not None:
-            self.writer.append(op)
 
     def _recover_and_retry(self, op: BatchOp, first_exc: BaseException) -> str:
         """Escalate until the batch applies; returns the deepest tier used.
@@ -306,78 +293,3 @@ class RecoveryManager:
         for i in range(0, len(edges), self.rebuild_chunk):
             fresh.insert_batch(edges[i : i + self.rebuild_chunk])
         return fresh
-
-    # -- persistence (restart = restore + replay suffix) ---------------------------
-
-    CHECKPOINT_NAME = "checkpoint.json"
-    WAL_NAME = "wal.trace"
-
-    def save(self, directory: str | pathlib.Path) -> None:
-        """Persist a restartable image: full checkpoint + sealed trace log."""
-        if self.applied > len(self.history):
-            raise BatchError(
-                "bounded-history manager has trimmed its committed prefix "
-                "and cannot write a full WAL — save() requires "
-                "bounded_history=False"
-            )
-        directory = pathlib.Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "position": self.applied,
-            "structure": ckpt.checkpoint(self.structure),
-        }
-        (directory / self.CHECKPOINT_NAME).write_text(json.dumps(payload))
-        with TraceWriter(directory / self.WAL_NAME) as writer:
-            for op in self.history:
-                writer.append(op)
-
-    @classmethod
-    def load(
-        cls,
-        directory: str | pathlib.Path,
-        cm: Optional[Any] = None,
-        **kwargs: Any,
-    ) -> "RecoveryManager":
-        """Restore a :meth:`save` image: checkpoint, then replay the suffix."""
-        directory = pathlib.Path(directory)
-        try:
-            payload = json.loads((directory / cls.CHECKPOINT_NAME).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise BatchError(f"cannot read checkpoint: {exc}") from exc
-        if not isinstance(payload, dict) or "position" not in payload:
-            raise BatchError("checkpoint image missing 'position'")
-        position = int(payload["position"])
-        if position < 0:
-            raise BatchError(
-                f"checkpoint position {position} outside the trace — "
-                "checkpoint and WAL disagree"
-            )
-        structure = ckpt.restore_checkpoint(payload.get("structure"), cm=cm)
-        # Stream the WAL: the checkpoint prefix replays into the ground-truth
-        # graph only, the suffix through full recovery apply().  The op list
-        # never materialises — iter_trace verifies the seal incrementally —
-        # so restart memory is bounded by the live state, not the log length.
-        graph = DynamicGraph(0)
-        history: list[BatchOp] = []
-        manager: Optional["RecoveryManager"] = None
-        seen = 0
-        for op in iter_trace(directory / cls.WAL_NAME, strict=True):
-            if seen < position:
-                if op.kind == "insert":
-                    graph.insert_batch(op.edges)
-                else:
-                    graph.delete_batch(op.edges)
-                history.append(op)
-            else:
-                if manager is None:
-                    manager = cls(structure, graph=graph, history=history, **kwargs)
-                manager.apply(op)
-            seen += 1
-        if seen < position:
-            raise BatchError(
-                f"checkpoint position {position} outside the {seen}-batch "
-                "trace — checkpoint and WAL disagree"
-            )
-        if manager is None:
-            manager = cls(structure, graph=graph, history=history, **kwargs)
-        return manager

@@ -39,7 +39,7 @@ from typing import Any, Mapping, Optional
 from ..config import Constants
 from ..core.coreness import CorenessDecomposition
 from ..core.density import DensityEstimator
-from ..errors import BatchError, ParameterError
+from ..errors import BatchError, InvariantViolation, ParameterError
 from ..graphs.graph import DynamicGraph, normalize_batch
 from ..graphs.streams import BatchOp
 from ..graphs.tracefile import TraceWriter, recover_trace
@@ -212,12 +212,17 @@ class TenantShard:
         position = 0
         structures: dict[str, Any] = {}
         if payload is not None and payload["position"] <= len(wal_ops):
-            position = payload["position"]
-            for kind in self._ladder_kinds():
-                structures[kind] = ckpt.restore_checkpoint(
-                    payload["structures"][kind], cm=self.cm
-                )
-        else:
+            try:
+                for kind in self._ladder_kinds():
+                    structures[kind] = ckpt.restore_checkpoint(
+                        payload["structures"][kind], cm=self.cm
+                    )
+                position = payload["position"]
+            except (BatchError, ParameterError, InvariantViolation):
+                # parses but does not restore: as survivable as a torn
+                # write, since the WAL still holds every batch.
+                structures = {}
+        if not structures:
             for kind in self._ladder_kinds():
                 structures[kind] = self._fresh_structure(kind)
         prefix, suffix = wal_ops[:position], wal_ops[position:]

@@ -12,8 +12,6 @@ verifies structures against *external* ground truth:
   oracle and the flow-optimal orientation;
 * :func:`replay_audit` — replays a batch stream, auditing after every
   batch; used by the CLI's ``verify`` subcommand and the soak tests.
-  ``rung_skip=True`` audits the rung-skip deferred queues too, not just
-  the plain ladder sweep.
 
 Every function returns an :class:`AuditReport`; ``ok`` is False with a
 list of findings rather than raising, so operators can log everything.
@@ -151,16 +149,11 @@ def replay_audit(
     constants=None,
     audit_every: int = 1,
     deep_every: int = 0,
-    rung_skip: bool = False,
 ) -> AuditReport:
     """Replay a stream, auditing the orientation after every batch.
 
     ``deep_every > 0`` additionally audits coreness/density bands every
-    that many batches (expensive: runs the exact oracles).  The ladder
-    structures for those deep audits are built with ``rung_skip``, so the
-    filtered path faces the oracles too; deferred rungs are flushed before
-    each deep audit so the filtered configuration is judged on the same
-    concrete state a query would materialise.
+    that many batches (expensive: runs the exact oracles).
     """
     from ..config import DEFAULT_CONSTANTS
     from ..core.balanced import BalancedOrientation
@@ -176,12 +169,8 @@ def replay_audit(
     st = BalancedOrientation(H or 5, constants=constants)
     core = dens = None
     if deep_every:
-        core = CorenessDecomposition(
-            n_guess, eps, constants=constants, rung_skip=rung_skip
-        )
-        dens = DensityEstimator(
-            n_guess, eps, constants=constants, rung_skip=rung_skip
-        )
+        core = CorenessDecomposition(n_guess, eps, constants=constants)
+        dens = DensityEstimator(n_guess, eps, constants=constants)
     for i, op in enumerate(ops):
         if op.kind == "insert":
             graph.insert_batch(op.edges)
@@ -202,8 +191,6 @@ def replay_audit(
                 report.merge(sub)
         if deep_every and i % deep_every == deep_every - 1:
             with _trace.span("verify.audit", detail={"batch": i}):
-                core.flush_all_pending()
-                dens.flush_all_pending()
                 sub = audit_coreness(core, graph)
                 if not sub.ok:
                     sub.subject += f" (batch {i})"

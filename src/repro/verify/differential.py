@@ -1,8 +1,7 @@
 """Differential replay: one stream, N execution configurations, zero drift.
 
-The repo carries several execution paths that must agree — rung-skip
-filtering on vs off, telemetry armed vs disarmed, and a fault-injected
-run recovered by the :class:`~repro.resilience.recovery.RecoveryManager`
+The repo carries several execution paths that must agree — telemetry
+armed vs disarmed, and a fault-injected run recovered by the :class:`~repro.resilience.recovery.RecoveryManager`
 vs a clean run.  Each contract is asserted somewhere in isolation; this
 module asserts them *together*: replay one :class:`BatchOp` stream
 through every named :class:`RunnerConfig` and diff the per-batch outputs
@@ -12,12 +11,12 @@ model's work/depth/counters) against the baseline configuration, plus
 optional deep audits of the baseline against the exact oracles in
 ``baselines/``.
 
-Answers must match across **all** configurations: the rung-skip
-certificate, the telemetry never-perturbs guarantee and the tier-1/2
-recovery determinism all promise bit-identical query results.  Cost
-totals are only contractual within a cost class (``cost_class="exact"``
-for serial/telemetry; rung-skip and chaos change cost *by design*, so
-they opt out with ``cost_class=None``).
+Answers must match across **all** configurations: the telemetry
+never-perturbs guarantee and the tier-1/2 recovery determinism both
+promise bit-identical query results.  Cost totals are only contractual
+within a cost class (``cost_class="exact"`` for serial/telemetry; chaos
+recovery pays for its rollbacks *by design*, so it opts out with
+``cost_class=None``).
 
 On divergence, :func:`minimize_diff` shrinks the stream with the ddmin
 minimizer to a minimal repro; :mod:`repro.verify.artifact` serialises it
@@ -56,11 +55,10 @@ class RunnerConfig:
     kills the configuration — which is exactly what the harness is for.
 
     :meth:`from_dict` ignores keys it does not know, so artifacts that
-    still carry the keys of retired execution backends replay.
+    still carry the keys of retired execution backends and options replay.
     """
 
     name: str
-    rung_skip: bool = False
     telemetry: bool = False
     recovery: bool = False
     faults: tuple[tuple[str, int, str], ...] = ()
@@ -69,7 +67,6 @@ class RunnerConfig:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "rung_skip": self.rung_skip,
             "telemetry": self.telemetry,
             "recovery": self.recovery,
             "faults": [list(f) for f in self.faults],
@@ -80,7 +77,6 @@ class RunnerConfig:
     def from_dict(cls, d: dict) -> "RunnerConfig":
         return cls(
             name=str(d["name"]),
-            rung_skip=bool(d.get("rung_skip", False)),
             telemetry=bool(d.get("telemetry", False)),
             recovery=bool(d.get("recovery", False)),
             faults=tuple(
@@ -100,7 +96,6 @@ def default_configs() -> list[RunnerConfig]:
     return [
         RunnerConfig("serial"),
         RunnerConfig("telemetry", telemetry=True),
-        RunnerConfig("rung-skip", rung_skip=True, cost_class=None),
         RunnerConfig(
             "chaos-recovered",
             recovery=True,
@@ -200,11 +195,9 @@ class _ConfigRun:
         self.diverged = False
         self.core = CorenessDecomposition(
             n, eps, cm=self.cm, constants=constants, seed=seed,
-            rung_skip=cfg.rung_skip,
         )
         self.dens = DensityEstimator(
             n, eps, cm=self.cm, constants=constants, seed=seed,
-            rung_skip=cfg.rung_skip,
         )
         self.injector = None
         if cfg.faults:
@@ -390,8 +383,6 @@ def _deep_audit(
     if base.error is not None:
         return
     with _trace.span("verify.audit", detail={"batch": i}):
-        base.core.flush_all_pending()
-        base.dens.flush_all_pending()
         for sub in (
             audit_coreness(base.core, graph),
             audit_density(base.dens, graph),

@@ -18,7 +18,7 @@ from repro.resilience.faults import FaultInjector, FaultSpec, injecting
 from repro.resilience.recovery import RecoveryManager
 
 
-def apply_ops(structure, ops):
+def replay_ops(structure, ops):
     for op in ops:
         if op.kind == "insert":
             structure.insert_batch(op.edges)
@@ -38,9 +38,9 @@ class TestBitIdentity:
         if armed:
             tracer = Tracer(cm)
             with trace.tracing(tracer):
-                apply_ops(cd, ops)
+                replay_ops(cd, ops)
             return cm, tracer
-        apply_ops(cd, ops)
+        replay_ops(cd, ops)
         return cm, None
 
     def test_coreness_ladder_armed_equals_disarmed(self):
@@ -62,9 +62,9 @@ class TestBitIdentity:
             ops = list(streams.insert_then_delete(edges, 24, seed=9))
             if armed:
                 with trace.tracing(Tracer(cm)):
-                    apply_ops(st, ops)
+                    replay_ops(st, ops)
             else:
-                apply_ops(st, ops)
+                replay_ops(st, ops)
             return cm
 
         assert cost_view(run(True)) == cost_view(run(False))

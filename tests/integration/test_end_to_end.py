@@ -82,6 +82,32 @@ class TestWorstCaseClaim:
         # every 1-edge batch costs a vanishing fraction of the 480-edge one
         assert tiny_max < 0.05 * big.work
 
+    def test_ladder_batches_stay_flat_after_quiet_history(self):
+        """No ladder batch pays for earlier ones: after a quiet path and
+        churn on it, a star that lifts the max degree costs per edge about
+        what any other batch did (a rung that deferred the quiet batches
+        would replay them all here)."""
+        n = 48
+        cm = CostModel()
+        ladders = [
+            cls(n, eps=0.35, cm=cm, constants=SMALL, seed=3)
+            for cls in (CorenessDecomposition, DensityEstimator)
+        ]
+        path = [(i, i + 1) for i in range(n - 1)]
+        batches = [("insert_batch", path[i : i + 8]) for i in range(0, len(path), 8)]
+        for r in range(10):
+            chunk = path[8 * (r % 5) : 8 * (r % 5) + 8]
+            batches += [("delete_batch", chunk), ("insert_batch", chunk)]
+        batches.append(("insert_batch", [(0, v) for v in range(2, 18)]))
+        per_edge = []
+        for method, edges in batches:
+            before = cm.work
+            for ladder in ladders:
+                getattr(ladder, method)(edges)
+            per_edge.append((cm.work - before) / len(edges))
+        mean = sum(per_edge) / len(per_edge)
+        assert max(per_edge) <= 4 * mean
+
     def test_brent_projection_sane(self):
         cm = CostModel()
         st = BalancedOrientation(H=4, cm=cm)

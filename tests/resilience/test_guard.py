@@ -1,4 +1,4 @@
-"""Transactional guard: capture/rollback give strong exception safety."""
+"""Batch guard: capture/rollback give strong exception safety."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.core.coreness import CorenessDecomposition
 from repro.core.density import DensityEstimator
 from repro.errors import FaultInjected, ParameterError
 from repro.resilience.faults import FaultInjector, FaultSpec, injecting
-from repro.resilience.guard import Transactional, capture, guarded, rollback
+from repro.resilience.guard import capture, guarded, rollback
 
 EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 3), (3, 4), (2, 4)]
 
@@ -61,14 +61,6 @@ class TestRollback:
         clean = _populated(cls)
         clean.insert_batch(EDGES[5:])
         assert capture(st) == capture(clean)
-
-    def test_guarded_mixin_methods(self, cls):
-        st = _populated(cls)
-        assert isinstance(st, Transactional)
-        st.guarded_insert_batch(EDGES[5:7])
-        st.guarded_delete_batch(EDGES[5:6])
-        st.guarded_update_batch(insertions=[EDGES[5]], deletions=[EDGES[6]])
-        st.check_invariants()
 
 
 def test_capture_rejects_unknown_objects():

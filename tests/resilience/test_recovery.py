@@ -1,10 +1,10 @@
-"""Tiered recovery: rollback, checkpoint replay, rebuild, restart."""
+"""Tiered recovery: rollback, checkpoint replay, rebuild."""
 
 import pytest
 
 from repro.core.balanced import BalancedOrientation
 from repro.core.coreness import CorenessDecomposition
-from repro.errors import BatchError, RecoveryError, TraceError
+from repro.errors import BatchError, RecoveryError
 from repro.graphs.streams import BatchOp, churn
 from repro.resilience.faults import FaultInjector, FaultSpec, injecting
 from repro.resilience.recovery import RecoveryManager
@@ -94,75 +94,6 @@ class TestTiers:
                     mgr.apply(op)
 
 
-class TestRestart:
-    def test_save_load_roundtrip(self, tmp_path):
-        mgr = _manager()
-        for op in OPS:
-            mgr.apply(op)
-        mgr.save(tmp_path)
-        loaded = RecoveryManager.load(tmp_path)
-        assert loaded.graph.edges == mgr.graph.edges
-        assert loaded.audit().ok
-        assert len(loaded.history) == len(mgr.history)
-
-    def test_load_replays_suffix_through_recovery(self, tmp_path):
-        mgr = _manager()
-        for op in OPS[:10]:
-            mgr.apply(op)
-        mgr.save(tmp_path)
-        # tamper: pretend the checkpoint is older than the WAL tail
-        import json
-
-        image = json.loads((tmp_path / "checkpoint.json").read_text())
-        assert image["position"] == 10
-        loaded = RecoveryManager.load(tmp_path)
-        for op in OPS[10:]:
-            loaded.apply(op)
-        direct = _manager()
-        for op in OPS:
-            direct.apply(op)
-        assert loaded.graph.edges == direct.graph.edges
-        assert loaded.audit().ok
-
-    def test_torn_wal_is_rejected(self, tmp_path):
-        mgr = _manager()
-        for op in OPS[:6]:
-            mgr.apply(op)
-        mgr.save(tmp_path)
-        wal = tmp_path / "wal.trace"
-        text = wal.read_text().splitlines()
-        wal.write_text("\n".join(text[:-1]) + "\n")  # drop the footer
-        with pytest.raises(TraceError):
-            RecoveryManager.load(tmp_path)
-
-    def test_position_beyond_wal_is_rejected(self, tmp_path):
-        import json
-
-        mgr = _manager()
-        for op in OPS[:6]:
-            mgr.apply(op)
-        mgr.save(tmp_path)
-        image = json.loads((tmp_path / "checkpoint.json").read_text())
-        image["position"] = 999
-        (tmp_path / "checkpoint.json").write_text(json.dumps(image))
-        with pytest.raises(BatchError, match="position"):
-            RecoveryManager.load(tmp_path)
-
-    def test_wal_written_incrementally(self, tmp_path):
-        wal_path = tmp_path / "live.trace"
-        mgr = _manager(wal_path=wal_path)
-        for op in OPS[:4]:
-            mgr.apply(op)
-        # unsealed while live: strict readers refuse it
-        from repro.graphs.tracefile import read_trace
-
-        with pytest.raises(TraceError):
-            read_trace(wal_path, strict=True)
-        assert len(read_trace(wal_path)) == 4  # tolerant read sees the batches
-        mgr.close()
-        assert len(read_trace(wal_path, strict=True)) == 4
-
-
 class TestBoundedHistory:
     """``bounded_history=True`` trims the committed prefix at checkpoints."""
 
@@ -199,13 +130,3 @@ class TestBoundedHistory:
         assert len(inj.fired) == 2
         assert set(outcomes) > {"ok"}
         assert mgr.audit().ok
-
-    def test_save_refuses_once_trimmed(self, tmp_path):
-        mgr = _manager(bounded_history=True, checkpoint_every=3)
-        for op in OPS[:2]:  # before the first checkpoint nothing is lost
-            mgr.apply(op)
-        mgr.save(tmp_path / "early")
-        for op in OPS[2:]:
-            mgr.apply(op)
-        with pytest.raises(BatchError, match="bounded-history"):
-            mgr.save(tmp_path / "late")

@@ -81,6 +81,20 @@ def drive(shard: TenantShard, batches) -> None:
 CFG = TenantConfig(n=32, eps=0.35, seed=5)
 
 
+def _corrupt(text: str, edit) -> str:
+    """Torn JSON for ``edit=None``; else set ``(path, value)`` inside the
+    coreness ladder's payload, which still parses."""
+    if edit is None:
+        return "{ not json"
+    path, value = edit
+    payload = json.loads(text)
+    node = payload["structures"]["coreness"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(payload)
+
+
 class TestValidation:
     def test_rejects_out_of_universe_edge(self, tmp_path):
         shard = TenantShard("t", tmp_path / "t", CFG)
@@ -176,13 +190,23 @@ class TestRecovery:
         final = TenantShard("t", tmp_path / "t", CFG)
         assert final.accepted == len(batches) + 1
 
-    def test_corrupt_checkpoint_falls_back_to_full_replay(self, tmp_path):
+    @pytest.mark.parametrize("edit", [
+        pytest.param(None, id="torn"),
+        pytest.param((("rungs", 0, "inner", "arcs"), [[1]]), id="bad-arc"),
+        pytest.param((("n",), "thirty-two"), id="text-n"),
+        pytest.param((("rungs",), 5), id="rungs-int"),
+        pytest.param((("touched",), ["v0"]), id="text-touched"),
+    ])
+    def test_corrupt_checkpoint_falls_back_to_full_replay(self, tmp_path, edit):
+        """Torn JSON and JSON that parses but does not restore both leave
+        the WAL, which holds every batch, to rebuild the tenant."""
         batches = churn_batches(CFG.n, seed=4, count=8, size=4)
         oracle = oracle_answers(CFG, batches)
         shard = TenantShard("t", tmp_path / "t", CFG, checkpoint_every=3)
         drive(shard, batches)
         shard.close()
-        (tmp_path / "t" / CHECKPOINT_NAME).write_text("{ not json")
+        path = tmp_path / "t" / CHECKPOINT_NAME
+        path.write_text(_corrupt(path.read_text(), edit))
         reopened = TenantShard("t", tmp_path / "t", CFG)
         assert (
             dict(reopened.snapshot.coreness),

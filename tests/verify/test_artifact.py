@@ -80,9 +80,8 @@ class TestDiffReplay:
         p = write_artifact(
             tmp_path / "green.json", kind="diff", ops=ops,
             params={"n": 12, "eps": 0.4, "seed": 5},
-            configs=[RunnerConfig("serial"), RunnerConfig("rung-skip",
-                                                          rung_skip=True,
-                                                          cost_class=None)],
+            configs=[RunnerConfig("serial"), RunnerConfig("telemetry",
+                                                          telemetry=True)],
             constants=SMALL,
         )
         reproduced, text = replay_artifact(p)
